@@ -71,7 +71,7 @@ def _rand_lattice_simplex(rng, m):
 
 
 def criterion_mixed_volume_oracles(seed: int) -> dict:
-    """Interpolation and fine-mixed-subdivision mixed volumes agree exactly."""
+    """Polarization and fine-mixed-subdivision mixed volumes agree exactly."""
     rng = random.Random(seed + 2)
     ok = True
     checked = 0
@@ -81,11 +81,11 @@ def criterion_mixed_volume_oracles(seed: int) -> dict:
         Q = _rand_lattice_simplex(rng, m)
         k1 = rng.randint(1, m - 1)
         k2 = m - k1
-        mv_interp = geometry.mixed_volume([(P, k1), (Q, k2)])
+        mv_polar = geometry.mixed_volume([(P, k1), (Q, k2)])
         mv_subdiv = geometry.mixed_volume_subdivision(
             [P, Q], [k1, k2], seed=seed + 1000 + t
         ).mixed_volume
-        ok = ok and mv_interp == mv_subdiv
+        ok = ok and mv_polar == mv_subdiv
         checked += 1
     return {
         "id": 2,

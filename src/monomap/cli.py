@@ -17,6 +17,7 @@ from importlib import resources
 
 from . import __version__, acceptance, dynamics, exact, geometry, recurrence, spectral
 from .errors import (
+    DegeneratePolytopeError,
     InputError,
     InsufficientData,
     MonomapError,
@@ -392,8 +393,8 @@ def cmd_verify_acceptance(args) -> int:
     for c in report["criteria"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] criterion {c['id']:2d}: {c['name']}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w") as fh:
+    if args.output_file:
+        with open(args.output_file, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -493,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--max-order", type=int, required=True)
     rc.set_defaults(func=cmd_recurrence)
 
-    va = sub.add_parser("verify-acceptance", parents=[common], help="run the acceptance suite")
+    va = sub.add_parser("verify-acceptance", help="run the acceptance suite")
     va.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    va.add_argument("--output-file", dest="output", default=None)
+    va.add_argument("--output-file")
     va.add_argument("--update-golden", action="store_true")
     va.set_defaults(func=None)
 
@@ -510,7 +511,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         parts = args.func(args)
-    except (InputError, InsufficientData, SingularMatrixError, ValueError) as e:
+    except (InputError, InsufficientData, SingularMatrixError, DegeneratePolytopeError,
+            ValueError) as e:
         _emit_error(args, type(e).__name__, str(e))
         return EXIT_INPUT
     except PreconditionError as e:

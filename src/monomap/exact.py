@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import SingularMatrixError
 
@@ -122,56 +122,6 @@ def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly increasing multi-index i1 < ... < ik drawn from {1,...,m}."""
-
-    m: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(isinstance(i, int) for i in self.indices):
-            raise ValueError("indices must be integers")
-        if any(i < 1 or i > self.m for i in self.indices):
-            raise ValueError("indices out of range [1, m]")
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-    def rank(self) -> int:
-        """Lexicographic position among all C(m, k) subsets of size k."""
-        r, prev = 0, 0
-        k = self.k
-        for pos, idx in enumerate(self.indices):
-            for t in range(prev + 1, idx):
-                r += comb(self.m - t, k - pos - 1)
-            prev = idx
-        return r
-
-    @staticmethod
-    def from_rank(m: int, k: int, rank: int) -> "MultiIndex":
-        if not 0 <= rank < comb(m, k):
-            raise ValueError("rank out of range")
-        indices = []
-        prev = 0
-        for pos in range(k):
-            for t in range(prev + 1, m + 1):
-                block = comb(m - t, k - pos - 1)
-                if rank < block:
-                    indices.append(t)
-                    prev = t
-                    break
-                rank -= block
-        return MultiIndex(m, tuple(indices))
-
-    def complement(self) -> "MultiIndex":
-        rest = tuple(i for i in range(1, self.m + 1) if i not in self.indices)
-        return MultiIndex(self.m, rest)
-
-
 def multi_indices(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All size-k multi-indices of {1,...,m} in lexicographic order."""
     return tuple(itertools.combinations(range(1, m + 1), k))
@@ -246,8 +196,7 @@ def submatrix(M: Matrix, rows_1based, cols_1based) -> Matrix:
 
 def minor(M: Matrix, I, J) -> Fraction:
     """Determinant of the submatrix with rows I and columns J (1-based)."""
-    I = I.indices if isinstance(I, MultiIndex) else tuple(I)
-    J = J.indices if isinstance(J, MultiIndex) else tuple(J)
+    I, J = tuple(I), tuple(J)
     if len(I) != len(J):
         raise ValueError("row and column multi-indices must have equal size")
     return det(submatrix(M, I, J))

@@ -6,8 +6,8 @@ exact.  Facets are kept simplicial; collinear/coplanar input only produces
 coplanar simplicial facets, which still tile the boundary (volumes stay
 correct) and are compensated for when the minimal vertex set is extracted.
 
-Two independent mixed-volume algorithms are provided: polynomial
-interpolation of the Minkowski volume expansion (primary) and fine mixed
+Two independent mixed-volume algorithms are provided: the polarization
+formula, a signed sum of volumes of Minkowski sums (primary), and fine mixed
 subdivisions obtained from random integral lifts (cross-check oracle).
 """
 
@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 from . import exact
 from .errors import DegenerateLiftError, DegeneratePolytopeError
@@ -283,18 +283,11 @@ def _primitive_plane(normal, offset):
 
 
 def _canonical_plane(normal, offset):
-    denoms = [x.denominator for x in normal] + [offset.denominator]
-    scale = lcm(*denoms)
-    ints = [int(x * scale) for x in normal]
-    off = int(offset * scale)
-    g = gcd(*(ints + [off])) or 1
-    ints = [x // g for x in ints]
-    off = off // g
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-        off = -off
-    return tuple(ints), off
+    """The primitive plane with its first nonzero normal entry positive."""
+    ints, off = _primitive_plane(normal, offset)
+    if next((x for x in ints if x != 0), 1) < 0:
+        return tuple(-x for x in ints), -off
+    return ints, off
 
 
 def convex_hull(points) -> Polytope:
@@ -331,11 +324,22 @@ def volume(P: Polytope) -> Fraction:
     return _volume_of_points(P.vertices, P.m)
 
 
+def _minkowski_points(vertex_sets, scales, m):
+    """Points whose convex hull is the Minkowski sum of r_i * conv(V_i) in R^m."""
+    acc = {tuple([Fraction(0)] * m)}
+    for verts, r in zip(vertex_sets, scales):
+        if r == 0:
+            continue
+        if r != 1:
+            verts = [tuple(r * x for x in v) for v in verts]
+        acc = {tuple(a + b for a, b in zip(p, v)) for p in acc for v in verts}
+    return acc
+
+
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if P.m != Q.m:
         raise ValueError("ambient dimension mismatch")
-    sums = {tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices}
-    return convex_hull(sums)
+    return convex_hull(_minkowski_points([P.vertices, Q.vertices], (1, 1), P.m))
 
 
 def linear_image(A: exact.Matrix, P: Polytope) -> Polytope:
@@ -365,91 +369,51 @@ def segment(u) -> Polytope:
 
 
 # ---------------------------------------------------------------------------
-# mixed volumes, route 1: interpolation of the Minkowski volume polynomial
+# mixed volumes, route 1: polarization of the Minkowski volume polynomial
 
-@dataclass(frozen=True)
-class MixedVolumeQuery:
-    """Bodies with multiplicities; total multiplicity must equal the ambient dim."""
-
-    bodies: tuple[tuple[Polytope, int], ...]
-
-    def __post_init__(self):
-        if not self.bodies:
-            raise ValueError("empty query")
-        m = self.bodies[0][0].m
-        if any(P.m != m for P, _ in self.bodies):
-            raise ValueError("bodies live in different ambient dimensions")
-        if any(k <= 0 for _, k in self.bodies):
-            raise ValueError("multiplicities must be positive")
-        if sum(k for _, k in self.bodies) != m:
-            raise ValueError("multiplicities must sum to the ambient dimension")
-
-    @property
-    def m(self) -> int:
-        return self.bodies[0][0].m
-
-
-_VANDERMONDE_INV_CACHE: dict[int, exact.Matrix] = {}
-
-
-def _vandermonde_inverse(n: int) -> exact.Matrix:
-    if n not in _VANDERMONDE_INV_CACHE:
-        V = exact.Matrix.from_rows(
-            [[Fraction(i) ** j for j in range(n)] for i in range(n)]
-        )
-        _VANDERMONDE_INV_CACHE[n] = exact.inverse(V)
-    return _VANDERMONDE_INV_CACHE[n]
-
-
-def _sum_of_scaled(vertex_sets, scales, m):
-    acc = {tuple([Fraction(0)] * m)}
-    for verts, r in zip(vertex_sets, scales):
-        if r == 0:
-            continue
-        acc = {
-            tuple(a + r * b for a, b in zip(p, v)) for p in acc for v in verts
-        }
-    return acc
+def _check_bodies(bodies, ks) -> int:
+    """Ambient dimension of the bodies; ValueError unless the multiplicities fit."""
+    if not bodies or len(bodies) != len(ks) or any(k <= 0 for k in ks):
+        raise ValueError("need one positive multiplicity per body")
+    m = bodies[0].m
+    if any(P.m != m for P in bodies):
+        raise ValueError("bodies live in different ambient dimensions")
+    if sum(ks) != m:
+        raise ValueError("multiplicities must sum to the ambient dimension")
+    return m
 
 
 def mixed_volume(query) -> Fraction:
     """The coefficient Vol(K_1[k_1], ..., K_s[k_s]) of the volume expansion.
 
-    Vol(r_1 K_1 + ... + r_s K_s) is a homogeneous degree-m polynomial in the
-    scalings; evaluating it on an exact integer grid and inverting Vandermonde
-    systems axis by axis recovers any coefficient exactly.  Normalization is
-    the one with Vol(K[m]) = volume(K).
+    query is a sequence of (body, multiplicity) pairs.  Polarization
+    (Schneider, Convex Bodies, 5.1) gives the coefficient as one signed sum:
+
+        m! Vol(K_1[k_1], ..., K_s[k_s])
+            = sum over 0 <= c_i <= k_i of
+              (-1)^(m - sum c) prod C(k_i, c_i) Vol(c_1 K_1 + ... + c_s K_s).
+
+    Vol(g Q) = g^m Vol(Q), so each primitive scale vector c / gcd(c) costs
+    one hull.  Normalization is the one with Vol(K[m]) = volume(K).
     """
-    if not isinstance(query, MixedVolumeQuery):
-        query = MixedVolumeQuery(tuple((P, int(k)) for P, k in query))
-    m = query.m
-    bodies = query.bodies
-    s = len(bodies)
-    if s == 1:
-        return volume(bodies[0][0])
-    vertex_sets = [P.vertices for P, _ in bodies]
-    nodes = range(m + 1)
-    values = {}
-    for grid in itertools.product(nodes, repeat=s - 1):
-        scales = [Fraction(g) for g in grid] + [Fraction(1)]
-        pts = _sum_of_scaled(vertex_sets, scales, m)
-        values[grid] = _volume_of_points(pts, m)
-    inv = _vandermonde_inverse(m + 1)
-    for axis in range(s - 1):
-        new_values = {}
-        for grid in itertools.product(nodes, repeat=s - 1):
-            total = Fraction(0)
-            for i in nodes:
-                key = grid[:axis] + (i,) + grid[axis + 1 :]
-                total += inv.entry(grid[axis], i) * values[key]
-            new_values[grid] = total
-        values = new_values
-    target = tuple(k for _, k in bodies[:-1])
-    coeff = values[target]
-    multinomial = factorial(m)
-    for _, k in bodies:
-        multinomial //= factorial(k)
-    return coeff / multinomial
+    pairs = list(query)
+    bodies = [P for P, _ in pairs]
+    ks = [int(k) for _, k in pairs]
+    m = _check_bodies(bodies, ks)
+    vertex_sets = [P.vertices for P in bodies]
+    primitive_volumes = {}
+    total = Fraction(0)
+    for c in itertools.product(*(range(k + 1) for k in ks)):
+        g = gcd(*c)
+        if g == 0:
+            continue  # c = 0: the sum is a point, of volume 0
+        key = tuple(x // g for x in c)
+        if key not in primitive_volumes:
+            pts = _minkowski_points(vertex_sets, key, m)
+            primitive_volumes[key] = _volume_of_points(pts, m)
+        weight = prod(comb(k, x) for k, x in zip(ks, c)) * g**m
+        total += (-1) ** (m - sum(c)) * weight * primitive_volumes[key]
+    return total / factorial(m)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +430,9 @@ class MixedCell:
     @property
     def cell_volume(self) -> Fraction:
         m = self.parts[0].m
-        acc = {tuple([Fraction(0)] * m)}
-        for part in self.parts:
-            acc = {
-                tuple(a + b for a, b in zip(p, v)) for p in acc for v in part.vertices
-            }
-        return _volume_of_points(acc, m)
+        vertex_sets = [part.vertices for part in self.parts]
+        pts = _minkowski_points(vertex_sets, [1] * len(vertex_sets), m)
+        return _volume_of_points(pts, m)
 
 
 @dataclass(frozen=True)
@@ -500,24 +461,15 @@ def mixed_volume_subdivision(
     """
     bodies = list(bodies)
     ks = [int(k) for k in multiplicities]
-    if len(bodies) != len(ks) or any(k <= 0 for k in ks):
-        raise ValueError("need one positive multiplicity per body")
-    m = bodies[0].m
-    if any(P.m != m for P in bodies):
-        raise ValueError("bodies live in different ambient dimensions")
-    if sum(ks) != m:
-        raise ValueError("multiplicities must sum to the ambient dimension")
-    all_sum = {tuple([Fraction(0)] * m)}
-    for P in bodies:
-        all_sum = {
-            tuple(a + b for a, b in zip(p, v)) for p in all_sum for v in P.vertices
-        }
+    m = _check_bodies(bodies, ks)
+    s = len(bodies)
+    ones = [1] * s
+    all_sum = _minkowski_points([P.vertices for P in bodies], ones, m)
     if exact.rank_of_rows(
         [[x - y for x, y in zip(p, next(iter(all_sum)))] for p in all_sum]
     ) < m:
         raise DegeneratePolytopeError("Minkowski sum of the bodies is not full-dimensional")
 
-    s = len(bodies)
     for attempt in range(MAX_LIFT_RETRIES):
         rng = random.Random(seed * 1000003 + attempt)
         lifted_sets = []
@@ -525,13 +477,8 @@ def mixed_volume_subdivision(
             lifted_sets.append(
                 [(v, Fraction(rng.randint(1, LIFT_RANGE))) for v in P.vertices]
             )
-        acc = {tuple([Fraction(0)] * (m + 1))}
-        for lifted in lifted_sets:
-            acc = {
-                tuple(a + b for a, b in zip(p, v + (w,)))
-                for p in acc
-                for (v, w) in lifted
-            }
+        lifted_points = [[v + (w,) for v, w in lifted] for lifted in lifted_sets]
+        acc = _minkowski_points(lifted_points, ones, m + 1)
         pts, dim, _, facets, _ = _hull_structure(acc)
         if dim == m + 1:
             # hull ran in ambient m+1 coordinates, so normals live in R^{m+1};

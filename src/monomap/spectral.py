@@ -175,7 +175,7 @@ class SpectralProfile:
     eigenvalues: tuple[EigenValue, ...]  # sorted by modulus, largest first
     factors: tuple[tuple[Poly, int], ...]
     det_abs: Fraction
-    lambdas: tuple[float, ...]  # lambda_0 .. lambda_m
+    lambdas: tuple[float, ...]  # dynamical degrees |mu_1| ... |mu_k|, k = 0 .. m
 
 
 @dataclass(frozen=True)
@@ -428,11 +428,6 @@ def _sortable(records) -> bool:
         if not (_certified_equal(a, b) or _certified_apart(a, b)):
             return False
     return True
-
-
-def dynamical_degrees(profile: SpectralProfile) -> tuple[float, ...]:
-    """lambda_k = |mu_1| ... |mu_k|; lambda_m is pinned to |det A| exactly."""
-    return profile.lambdas
 
 
 def gap_report(profile: SpectralProfile, A: exact.Matrix | None = None) -> GapReport:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from monomap import cli
+from monomap import acceptance, cli
 from monomap.errors import InputError
 
 
@@ -156,6 +156,19 @@ def test_degrees_custom_polytope(tmp_path, capsys):
     assert env["result"]["degrees"]["1"] == "8"  # 2! * |det 2I| * vol(square)
 
 
+def test_flat_polytope_is_input_error(tmp_path, capsys):
+    mf = matrix_file(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    pf = write_json(
+        tmp_path, "flat.json",
+        {"vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]},
+    )
+    common = ["--matrix", mf, "--k", "1", "--terms", "2", "--polytope", pf]
+    for argv in (["degrees"], ["recurrence", "--from-degrees", "--max-order", "1"]):
+        code, out = run_cli(capsys, argv + common)
+        assert code == cli.EXIT_INPUT
+        assert json.loads(out)["error"]["type"] == "DegeneratePolytopeError"
+
+
 def test_recurrence_from_file(tmp_path, capsys):
     sf = write_json(
         tmp_path, "s.json",
@@ -240,3 +253,19 @@ def test_parse_matrix_shape_errors():
         cli.parse_matrix({"m": 1, "entries": [["1"]]})
     with pytest.raises(InputError):
         cli.parse_matrix({"entries": [["1", "x"], ["0", "1"]]})
+
+
+def test_verify_acceptance_default_writes_stdout(tmp_path, capsys, monkeypatch):
+    report = {
+        "seed": acceptance.DEFAULT_SEED,
+        "criteria": [{"id": 1, "name": "stub", "passed": True}],
+        "all_passed": True,
+    }
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: report)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["verify-acceptance"])
+    captured = capsys.readouterr()
+    assert captured.out == acceptance.canonical_json(report) + "\n"
+    assert "golden: MISMATCH" in captured.err  # the stub is not the golden report
+    assert code == cli.EXIT_SEARCH_EXHAUSTED
+    assert list(tmp_path.iterdir()) == []

@@ -258,28 +258,3 @@ def test_primitive_vector_zero_raises():
 def test_primitive_vector_stays_on_ray():
     v = exact.primitive_vector([F(-6, 4), F(9, 4)])
     assert v == (-2, 3)
-
-
-# --- multi-indices -----------------------------------------------------------
-
-def test_multi_index_rank_round_trip():
-    for m in (3, 4, 5, 6):
-        for k in range(1, m + 1):
-            combos = list(itertools.combinations(range(1, m + 1), k))
-            for pos, combo in enumerate(combos):
-                mi = exact.MultiIndex(m, combo)
-                assert mi.rank() == pos
-                assert exact.MultiIndex.from_rank(m, k, pos).indices == combo
-
-
-def test_multi_index_invariants():
-    with pytest.raises(ValueError):
-        exact.MultiIndex(3, (2, 1))
-    with pytest.raises(ValueError):
-        exact.MultiIndex(3, (0, 1))
-    with pytest.raises(ValueError):
-        exact.MultiIndex(3, (1, 4))
-
-
-def test_multi_index_complement():
-    assert exact.MultiIndex(5, (2, 4)).complement().indices == (1, 3, 5)

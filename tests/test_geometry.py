@@ -161,7 +161,7 @@ def test_linear_image_shear():
     assert geo.volume(sheared) == 1
 
 
-# --- mixed volume: interpolation route -----------------------------------------
+# --- mixed volume: polarization route ------------------------------------------
 
 def test_mixed_volume_single_body():
     D = geo.standard_simplex(3)
@@ -226,10 +226,11 @@ def test_mixed_volume_three_bodies():
 
 def test_mixed_volume_bad_multiplicities():
     D = geo.standard_simplex(2)
-    with pytest.raises(ValueError):
-        geo.mixed_volume([(D, 1)])
-    with pytest.raises(ValueError):
-        geo.mixed_volume([(D, 0), (D, 2)])
+    for bodies, ks in (([D], [1]), ([D, D], [0, 2]), ([D, geo.standard_simplex(3)], [1, 1])):
+        with pytest.raises(ValueError):
+            geo.mixed_volume(list(zip(bodies, ks)))
+        with pytest.raises(ValueError):
+            geo.mixed_volume_subdivision(bodies, ks)
 
 
 @settings(max_examples=20, deadline=None)
@@ -273,15 +274,27 @@ def test_subdivision_cells_tile_the_sum():
     assert total == geo.volume(geo.minkowski_sum(P, Q))
 
 
-def test_subdivision_matches_interpolation_random():
+def rand_segment(rng, m, span=3):
+    return geo.segment(tuple(F(rng.randint(-span, span)) for _ in range(m)))
+
+
+def test_subdivision_matches_polarization_random():
     rng = random.Random(10)
-    for t in range(8):
+    families = []
+    for _ in range(8):
         m = rng.choice((2, 3))
         P, Q = rand_simplex(rng, m), rand_simplex(rng, m)
         k1 = rng.randint(1, m - 1)
+        families.append(([P, Q], [k1, m - k1]))
+    for _ in range(2):
+        families.append(
+            ([rand_simplex(rng, 4), rand_segment(rng, 4), rand_segment(rng, 4)], [2, 1, 1])
+        )
+        families.append(([rand_simplex(rng, 3) for _ in range(3)], [1, 1, 1]))
+    for t, (bodies, ks) in enumerate(families):
         assert geo.mixed_volume_subdivision(
-            [P, Q], [k1, m - k1], seed=50 + t
-        ).mixed_volume == geo.mixed_volume([(P, k1), (Q, m - k1)])
+            bodies, ks, seed=50 + t
+        ).mixed_volume == geo.mixed_volume(list(zip(bodies, ks)))
 
 
 def test_subdivision_fine_cell_conditions():
