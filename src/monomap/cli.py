@@ -54,18 +54,26 @@ def load_json(path: str):
         raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
 
 
+def _rows_of_length(rows, m, where: str, count: int | None = None) -> list:
+    """rows, if it is a non-empty list of lists of length m (count of them, when
+    given); InputError otherwise."""
+    if (not isinstance(rows, list) or not rows
+            or (count is not None and len(rows) != count)
+            or any(not isinstance(r, list) or len(r) != m for r in rows)):
+        n = "one or more" if count is None else count
+        raise InputError(f"{where}: expected a list of {n} lists of length {m}")
+    return rows
+
+
 def parse_matrix(obj, where: str = "matrix") -> exact.Matrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise InputError(f'{where}: expected {{"m": int, "entries": [[...]]}}')
     entries = obj["entries"]
-    m = obj.get("m", len(entries))
-    if not isinstance(entries, list) or len(entries) != m:
-        raise InputError(f"{where}: entries must be an {m} x {m} array")
-    rows = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != m:
-            raise InputError(f"{where}: row {i} must have {m} entries")
-        rows.append([_parse_frac(x, f"{where} entry ({i})") for x in row])
+    m = obj.get("m", len(entries) if isinstance(entries, list) else 0)
+    rows = [
+        [_parse_frac(x, f"{where} entry ({i})") for x in row]
+        for i, row in enumerate(_rows_of_length(entries, m, where, count=m))
+    ]
     M = exact.Matrix.from_rows(rows)
     if not M.is_integer:
         raise InputError(f"{where}: exponent matrices must have integer entries")
@@ -77,25 +85,21 @@ def parse_matrix(obj, where: str = "matrix") -> exact.Matrix:
 def parse_basis(obj, m: int, where: str = "basis"):
     if not isinstance(obj, dict) or "vectors" not in obj:
         raise InputError(f'{where}: expected {{"vectors": [[...]]}}')
-    vectors = obj["vectors"]
-    if len(vectors) != m or any(len(v) != m for v in vectors):
-        raise InputError(f"{where}: need {m} vectors of length {m}")
+    vectors = _rows_of_length(obj["vectors"], m, where, count=m)
     return [[_parse_frac(x, where) for x in v] for v in vectors]
 
 
 def parse_polytope(obj, m: int, where: str = "polytope") -> geometry.Polytope:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise InputError(f'{where}: expected {{"vertices": [[...]]}}')
-    verts = obj["vertices"]
-    if not verts or any(len(v) != m for v in verts):
-        raise InputError(f"{where}: vertices must be non-empty, each of length {m}")
+    verts = _rows_of_length(obj["vertices"], m, where)
     return geometry.convex_hull(
         [[_parse_frac(x, where) for x in v] for v in verts]
     )
 
 
 def parse_sequence(obj, where: str = "sequence"):
-    if not isinstance(obj, dict) or "values" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
         raise InputError(f'{where}: expected {{"values": ["...", ...]}}')
     return [_parse_frac(x, where) for x in obj["values"]]
 

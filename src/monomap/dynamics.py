@@ -245,6 +245,48 @@ def _rationalize_columns(V: np.ndarray, bound: int):
     return cols
 
 
+def _candidate_models(frame, spectrum, attempts, perturb_scale, denominator_bound,
+                      seed, log):
+    """Models from the rationalized columns of frame @ S^-1, for perturbed
+    reference frames S whose auxiliary map S diag(spectrum) S^-1 has only
+    positive minors numerically.  Each scored attempt is appended to log."""
+    m = len(spectrum)
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, attempts + 1):
+        S = _cauchy_reference_eigvecs(m, rng)
+        if attempt > 1:
+            # grow the perturbation slowly so early attempts stay close to
+            # the reference frame
+            scale = perturb_scale * (1 + attempt / 10.0)
+            S = S + scale * rng.standard_normal((m, m))
+        try:
+            Sinv = np.linalg.inv(S)
+        except np.linalg.LinAlgError:
+            continue
+        score = _min_minor_numeric(S @ np.diag(spectrum) @ Sinv, m)
+        log.append({"attempt": attempt, "numeric_min_minor": score, "certified": False})
+        if score <= 0:
+            continue
+        cols = _rationalize_columns(frame @ Sinv, denominator_bound)
+        if cols is None:
+            continue
+        try:
+            yield build_skew_model(cols)
+        except SingularMatrixError:
+            continue
+
+
+def _sign_certificates(A: exact.Matrix, model: SkewModel):
+    """STABLE_BY_SIGN certificates for k = 1..m-1, or None at the first k without."""
+    certs = []
+    for k in range(1, A.m):
+        cert = check_k_stable(A, model, k)
+        if cert.verdict != "STABLE_BY_SIGN":
+            return None
+        certs.append(cert)
+    return tuple(certs)
+
+
 def stabilize_basis_search(
     A: exact.Matrix,
     attempts: int = DEFAULT_ATTEMPTS,
@@ -268,60 +310,28 @@ def stabilize_basis_search(
         raise PreconditionError(
             "spectrum is not certified real, distinct, and of uniform sign"
         )
-    m = A.m
-    log = []
-    std = standard_model(m)
-    certs = tuple(check_k_stable(A, std, k) for k in range(1, m))
-    if all(c.verdict == "STABLE_BY_SIGN" for c in certs):
-        log.append({"attempt": 0, "candidate": "standard-basis", "certified": True})
-        return StabilizationResult(
-            mode="BASIS", model=std, certified_k=tuple(range(1, m)),
-            certificates=certs, log=tuple(log),
+    model = standard_model(A.m)
+    certs = _sign_certificates(A, model)
+    log = [{"attempt": 0, "candidate": "standard-basis", "certified": certs is not None}]
+    if certs is None:
+        M = A if kind == "positive" else -A
+        w, W = np.linalg.eig(np.array([[float(x) for x in row] for row in M.rows]))
+        order = np.argsort(-w.real)
+        for model in _candidate_models(W.real[:, order], w.real[order], attempts,
+                                       perturb_scale, denominator_bound, seed, log):
+            certs = _sign_certificates(A, model)
+            if certs is not None:
+                log[-1]["certified"] = True  # the attempt that yielded model
+                break
+    if certs is None:
+        raise SearchExhausted(
+            f"no certified basis within {attempts} attempts "
+            "(not a refutation; a stabilizing basis exists under the precondition)",
+            log=log,
         )
-    log.append({"attempt": 0, "candidate": "standard-basis", "certified": False})
-
-    M = A if kind == "positive" else -A
-    Af = np.array([[float(x) for x in row] for row in M.rows])
-    w, W = np.linalg.eig(Af)
-    order = np.argsort(-w.real)
-    w = w.real[order]
-    W = W.real[:, order]
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, attempts + 1):
-        S = _cauchy_reference_eigvecs(m, rng)
-        if attempt > 1:
-            # grow the perturbation slowly so early attempts stay close to
-            # the reference frame
-            scale = perturb_scale * (1 + attempt / 10.0)
-            S = S + scale * rng.standard_normal((m, m))
-        try:
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            continue
-        Bnum = S @ np.diag(w) @ Sinv
-        score = _min_minor_numeric(Bnum, m)
-        entry = {"attempt": attempt, "numeric_min_minor": score, "certified": False}
-        log.append(entry)
-        if score <= 0:
-            continue
-        cols = _rationalize_columns(W @ Sinv, denominator_bound)
-        if cols is None:
-            continue
-        try:
-            model = build_skew_model(cols)
-        except SingularMatrixError:
-            continue
-        certs = tuple(check_k_stable(A, model, k) for k in range(1, m))
-        if all(c.verdict == "STABLE_BY_SIGN" for c in certs):
-            entry["certified"] = True
-            return StabilizationResult(
-                mode="BASIS", model=model, certified_k=tuple(range(1, m)),
-                certificates=certs, log=tuple(log),
-            )
-    raise SearchExhausted(
-        f"no certified basis within {attempts} attempts "
-        "(not a refutation; a stabilizing basis exists under the precondition)",
-        log=log,
+    return StabilizationResult(
+        mode="BASIS", model=model, certified_k=tuple(range(1, A.m)),
+        certificates=certs, log=tuple(log),
     )
 
 
@@ -410,9 +420,7 @@ def orthant_basis(
     if not any(v == "CERTIFIED_GAP" for v in report.verdicts):
         raise PreconditionError("no certified modulus gap at any k")
     std = standard_model(m)
-    if all(
-        check_k_stable(A, std, k).verdict == "STABLE_BY_SIGN" for k in range(1, m)
-    ):
+    if _sign_certificates(A, std) is not None:
         return std
     Af = np.array([[float(x) for x in row] for row in A.rows])
     w, W = np.linalg.eig(Af)
@@ -434,42 +442,13 @@ def orthant_basis(
             cols.append(W[:, i].real)
             cols.append(W[:, i].imag)
             used.update({i, partner})
-    rho = np.column_stack(cols)
-    fake = np.diag(np.arange(m, 0, -1, dtype=float))
-    try:
-        A_aux = rho @ fake @ np.linalg.inv(rho)
-    except np.linalg.LinAlgError:
-        raise SearchExhausted("numeric frame of A is singular", log=[])
-    rng = np.random.default_rng(seed)
     log = []
-    for attempt in range(1, attempts + 1):
-        S = _cauchy_reference_eigvecs(m, rng)
-        if attempt > 1:
-            S = S + DEFAULT_PERTURB * (1 + attempt / 10.0) * rng.standard_normal((m, m))
-        try:
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            continue
-        cols_rat = _rationalize_columns(rho @ Sinv, denominator_bound)
-        if cols_rat is None:
-            continue
-        try:
-            model = build_skew_model(cols_rat)
-        except SingularMatrixError:
-            continue
-        Vf = np.array([[float(x) for x in row]
-                       for row in exact.Matrix(tuple(zip(*[exact.vec(c) for c in cols_rat]))).rows])
-        try:
-            Baux = np.linalg.inv(Vf) @ A_aux @ Vf
-        except np.linalg.LinAlgError:
-            continue
-        score = _min_minor_numeric(Baux, m)
-        log.append({"attempt": attempt, "numeric_min_minor": score})
-        if score > 0:
-            return model
-    raise SearchExhausted(
-        f"no orthant basis within {attempts} attempts", log=log
-    )
+    fake = np.arange(m, 0, -1, dtype=float)
+    model = next(_candidate_models(np.column_stack(cols), fake, attempts,
+                                   DEFAULT_PERTURB, denominator_bound, seed, log), None)
+    if model is None:
+        raise SearchExhausted(f"no orthant basis within {attempts} attempts", log=log)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,6 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         return mat_pow(self, n)
 
-    def to_lists(self):
-        return [[x for x in r] for r in self.rows]
-
 
 def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
@@ -158,35 +155,6 @@ def det(M: Matrix) -> Fraction:
             ri[j] = 0
         prev = pj
     return Fraction(sign * rows[n - 1][n - 1], scale)
-
-
-def det_leibniz(M: Matrix) -> Fraction:
-    """Naive permanent-style determinant; test oracle for small m."""
-    n = M.m
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        p = Fraction(1)
-        for i, j in enumerate(perm):
-            p *= M.rows[i][j]
-        total += sign * p
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def submatrix(M: Matrix, rows_1based, cols_1based) -> Matrix:
@@ -251,24 +219,6 @@ class CharPoly:
         """Ascending coefficients including the leading 1."""
         return self.coeffs + (Fraction(1),)
 
-    def __call__(self, x):
-        acc = Fraction(1) if isinstance(x, (int, Fraction)) else 1
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def companion(self) -> Matrix:
-        L = self.degree
-        zero = Fraction(0)
-        rows = []
-        for i in range(L):
-            row = [zero] * L
-            if i > 0:
-                row[i - 1] = Fraction(1)
-            row[L - 1] = -self.coeffs[i]
-            rows.append(tuple(row))
-        return Matrix(tuple(rows))
-
 
 def char_poly(M) -> CharPoly:
     """Characteristic polynomial det(rI - M) by Faddeev-LeVerrier (exact)."""
@@ -284,31 +234,44 @@ def char_poly(M) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def evaluate_char_poly_at_matrix(chi: CharPoly, M: Matrix) -> Matrix:
-    acc = Matrix.identity(M.m)
-    total = acc.scale(0)
-    for c in chi.full_coeffs():
-        total = total + acc.scale(c)
-        acc = acc @ M
-    return total
+def row_reduce(rows):
+    """Gauss-Jordan elimination over the rationals, one row at a time.
+
+    Returns (ids, pivots): ids lists, in order, the rows that are independent
+    of the rows before them; pivots maps each pivot column to its reduced row,
+    which is 1 in that column and 0 in every other pivot column.  Stops once
+    every column has a pivot.
+    """
+    ids, pivots = [], {}
+    for i, row in enumerate(rows):
+        row = vec(row)
+        for col, prow in pivots.items():
+            f = row[col]
+            if f != 0:
+                row = tuple(a - f * b for a, b in zip(row, prow))
+        col = next((j for j, x in enumerate(row) if x != 0), None)
+        if col is None:
+            continue
+        p = row[col]
+        row = tuple(x / p for x in row)
+        for c, prow in pivots.items():
+            f = prow[col]
+            if f != 0:
+                pivots[c] = tuple(a - f * b for a, b in zip(prow, row))
+        pivots[col] = row
+        ids.append(i)
+        if len(pivots) == len(row):
+            break
+    return ids, pivots
 
 
 def solve_matrix(V: Matrix, C: Matrix) -> Matrix:
     """Solve V X = C exactly; raises SingularMatrixError if V is singular."""
     n = V.m
-    aug = [list(V.rows[i]) + list(C.rows[i]) for i in range(n)]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if aug[i][j] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[j], aug[piv] = aug[piv], aug[j]
-        pivval = aug[j][j]
-        aug[j] = [x / pivval for x in aug[j]]
-        for i in range(n):
-            if i != j and aug[i][j] != 0:
-                f = aug[i][j]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[j])]
-    return Matrix.from_rows([row[n:] for row in aug])
+    _, pivots = row_reduce(a + b for a, b in zip(V.rows, C.rows))
+    if any(j not in pivots for j in range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return Matrix(tuple(pivots[j][n:] for j in range(n)))
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -321,8 +284,6 @@ def change_of_basis(A: Matrix, basis) -> Matrix:
     if len(cols) != A.m or any(len(c) != A.m for c in cols):
         raise ValueError("basis must consist of m vectors of length m")
     V = Matrix(tuple(zip(*cols)))
-    if det(V) == 0:
-        raise SingularMatrixError("basis vectors are linearly dependent")
     return solve_matrix(V, A @ V)
 
 
@@ -339,22 +300,4 @@ def primitive_vector(v) -> tuple[int, ...]:
 
 def rank_of_rows(rows) -> int:
     """Exact rank of a list of rational row vectors."""
-    work = [list(map(_frac, r)) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][j]
-        for i in range(rank + 1, len(work)):
-            if work[i][j] != 0:
-                f = work[i][j] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(row_reduce(rows)[0])

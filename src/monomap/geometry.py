@@ -70,59 +70,10 @@ class Polytope:
 # affine structure
 
 def _affine_basis(pts):
-    """Greedy affinely independent subset: (origin_id, basis_ids, pivots).
-
-    pivots holds the row-echelon forms of the difference vectors, used to test
-    further independence exactly.
-    """
-    i0 = 0
+    """row_reduce of the differences pts[i] - pts[0]: the ids of a greedy
+    affinely independent subset besides pts[0], and the reduced pivot rows."""
     origin = pts[0]
-    basis_ids = []
-    pivots = []  # list of (pivot_col, reduced_row)
-    for i in range(1, len(pts)):
-        row = [a - b for a, b in zip(pts[i], origin)]
-        row = _reduce_row(row, pivots)
-        if row is not None:
-            basis_ids.append(i)
-            pivots.append(row)
-    return i0, basis_ids, pivots
-
-
-def _reduce_row(row, pivots):
-    row = list(row)
-    for col, prow in pivots:
-        if row[col] != 0:
-            f = row[col] / prow[col]
-            row = [a - f * b for a, b in zip(row, prow)]
-    for col, x in enumerate(row):
-        if x != 0:
-            return (col, row)
-    return None
-
-
-def _coordinate_map(pts, i0, basis_ids):
-    """Exact coordinates of pts within the affine hull spanned by the basis."""
-    origin = pts[i0]
-    d = len(basis_ids)
-    cols = [[pts[b][r] - origin[r] for r in range(len(origin))] for b in basis_ids]
-    # pick d coordinate rows making the basis square and invertible
-    rows_used = []
-    pivots = []
-    for r in range(len(origin)):
-        row = [cols[j][r] for j in range(d)]
-        red = _reduce_row(row, pivots)
-        if red is not None:
-            rows_used.append(r)
-            pivots.append(red)
-        if len(rows_used) == d:
-            break
-    sub = exact.Matrix.from_rows([[cols[j][r] for j in range(d)] for r in rows_used])
-    inv = exact.inverse(sub)
-    out = []
-    for p in pts:
-        rhs = tuple(p[r] - origin[r] for r in rows_used)
-        out.append(inv.apply(rhs))
-    return out
+    return exact.row_reduce(tuple(a - b for a, b in zip(p, origin)) for p in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +111,7 @@ def _hull_incremental(pts):
     strictly inside.
     """
     d = len(pts[0])
-    i0, basis_ids, _ = _affine_basis(pts)
-    simplex = [i0] + basis_ids
+    simplex = [0] + _affine_basis(pts)[0]
     assert len(simplex) == d + 1, "input not full-dimensional"
     interior = tuple(
         sum((pts[i][c] for i in simplex), Fraction(0)) / (d + 1) for c in range(d)
@@ -231,14 +181,17 @@ def _hull_structure(points):
     dim 0, and for dim 1 facets degenerate to the two endpoint ids.
     """
     pts = sorted(set(_point(p) for p in points))
-    i0, basis_ids, _ = _affine_basis(pts)
-    d = len(basis_ids)
+    _, pivots = _affine_basis(pts)
+    d = len(pivots)
     if d == 0:
         return pts, 0, None, None, None
     if d == len(pts[0]):
         coords = pts  # full-dimensional: keep ambient coordinates (volumes, normals)
     else:
-        coords = _coordinate_map(pts, i0, basis_ids)
+        # the reduced basis of the affine hull is the identity on the pivot
+        # columns, so projecting onto them is an affine isomorphism
+        cols = sorted(pivots)
+        coords = [tuple(p[c] for c in cols) for p in pts]
     if d == 1:
         order = sorted(range(len(pts)), key=lambda i: coords[i][0])
         lo, hi = order[0], order[-1]
@@ -492,11 +445,7 @@ def mixed_volume_subdivision(
         else:
             # lifted sum is flat (dim == m: every lift of a sum of segments is);
             # the lower hull is the whole polytope and the subdivision is trivial
-            i0, basis_ids, _ = _affine_basis(pts)
-            rows = [
-                tuple(a - b for a, b in zip(pts[b], pts[i0])) for b in basis_ids
-            ]
-            normal = _cofactor_normal(rows, m + 1)
+            normal = _cofactor_normal(list(_affine_basis(pts)[1].values()), m + 1)
             if normal[m] == 0:
                 raise AssertionError("flat lifted sum cannot be vertical")
             if normal[m] > 0:

@@ -54,39 +54,21 @@ class HankelProfile:
 def _solve_recurrence(vals, r):
     """Monic order-r recurrence coefficients fitting all terms, or None.
 
-    Solves sum_i phi_i a_{n+i} = -a_{n+r} for all admissible n by exact
-    elimination; free variables are pinned to 0; the solution is then
+    Row-reduces the equations sum_i phi_i a_{n+i} = -a_{n+r} for all
+    admissible n; they are inconsistent exactly when the right-hand side
+    column gets a pivot.  Free variables are pinned to 0; the solution is then
     re-verified against every equation.
     """
     N = len(vals)
-    rows = [[vals[n + i] for i in range(r)] + [-vals[n + r]] for n in range(N - r)]
-    ncols = r
-    work = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][j]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        pivots.append(j)
-        rank += 1
-    for i in range(rank, len(work)):
-        if work[i][ncols] != 0:
-            return None  # inconsistent
-    phi = [Fraction(0)] * r
-    for row_idx, j in enumerate(pivots):
-        phi[j] = work[row_idx][ncols]
+    rows = ([vals[n + i] for i in range(r)] + [-vals[n + r]] for n in range(N - r))
+    _, pivots = exact.row_reduce(rows)
+    if r in pivots:
+        return None  # inconsistent
+    phi = tuple(pivots[j][r] if j in pivots else Fraction(0) for j in range(r))
     for n in range(N - r):
         if sum((phi[i] * vals[n + i] for i in range(r)), vals[n + r]) != 0:
             return None
-    return tuple(phi)
+    return phi
 
 
 def minimal_recurrence(values, max_order: int) -> RecurrenceReport:

@@ -318,6 +318,8 @@ def _mod2_exact_for_quadratic(f: Poly):
 
 def spectral_profile(A: exact.Matrix, precision: int = DEFAULT_PRECISION) -> SpectralProfile:
     """All eigenvalues of A with certified disks, sorted moduli, and lambda_k."""
+    if not 1 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must satisfy 1 <= precision <= {MAX_PRECISION} bits")
     d = exact.det(A)
     if d == 0:
         raise SingularMatrixError("matrix is singular; map is not dominant")

@@ -269,3 +269,31 @@ def test_verify_acceptance_default_writes_stdout(tmp_path, capsys, monkeypatch):
     assert "golden: MISMATCH" in captured.err  # the stub is not the golden report
     assert code == cli.EXIT_SEARCH_EXHAUSTED
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,obj", [
+    (["stability", "--matrix", "M", "--k", "1", "--basis", "F"], {"vectors": 5}),
+    (["stability", "--matrix", "M", "--k", "1", "--basis", "F"],
+     {"vectors": [["1", "0"], "01"]}),
+    (["degrees", "--matrix", "M", "--k", "1", "--terms", "2", "--polytope", "F"],
+     {"vertices": 7}),
+    (["degrees", "--matrix", "M", "--k", "1", "--terms", "2", "--polytope", "F"],
+     {"vertices": []}),
+    (["recurrence", "--max-order", "1", "--sequence", "F"], {"values": 5}),
+    (["spectrum", "--matrix", "F"], {"entries": 5}),
+    (["spectrum", "--matrix", "F"], {"m": 2, "entries": [["1", "0"], 3]}),
+])
+def test_malformed_input_shape_is_input_error(tmp_path, capsys, argv, obj):
+    files = {"M": matrix_file(tmp_path, [[2, 1], [1, 1]]),
+             "F": write_json(tmp_path, "f.json", obj)}
+    code, out = run_cli(capsys, [files.get(a, a) for a in argv])
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("precision", ["0", "-5", "2000"])
+def test_spectrum_precision_out_of_range(tmp_path, capsys, precision):
+    mf = matrix_file(tmp_path, [[0, 0, -2], [1, 0, 0], [0, 1, 0]])
+    code, out = run_cli(capsys, ["spectrum", "--matrix", mf, "--precision", precision])
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"]["type"] == "ValueError"

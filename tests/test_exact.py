@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomap import exact
+from reference import companion, det_leibniz, evaluate_char_poly_at_matrix
 from monomap.errors import SingularMatrixError
 
 M = exact.Matrix.from_rows
@@ -36,7 +37,7 @@ def test_det_matches_leibniz_oracle():
     for _ in range(40):
         m = rng.randint(1, 4)
         A = rand_matrix(rng, m)
-        assert exact.det(A) == exact.det_leibniz(A)
+        assert exact.det(A) == det_leibniz(A)
 
 
 def test_det_rational_entries():
@@ -88,7 +89,7 @@ def test_minor_agrees_with_leibniz_oracle():
         for I in itertools.combinations(range(1, 6), k):
             for J in itertools.combinations(range(1, 6), k):
                 sub = exact.submatrix(A, I, J)
-                assert exact.minor(A, I, J) == exact.det_leibniz(sub)
+                assert exact.minor(A, I, J) == det_leibniz(sub)
 
 
 # --- exterior powers -------------------------------------------------------
@@ -192,7 +193,7 @@ def test_char_poly_trace_det():
 
 def test_char_poly_companion_round_trip():
     chi = exact.CharPoly((F(-2), F(0), F(0)))  # r^3 - 2
-    C = chi.companion()
+    C = companion(chi)
     assert exact.char_poly(C).coeffs == chi.coeffs
 
 
@@ -202,7 +203,7 @@ def test_cayley_hamilton_matrix_substitution():
         m = rng.randint(2, 4)
         A = rand_matrix(rng, m)
         chi = exact.char_poly(A)
-        zero = exact.evaluate_char_poly_at_matrix(chi, A)
+        zero = evaluate_char_poly_at_matrix(chi, A)
         assert all(x == 0 for row in zero.rows for x in row)
 
 
@@ -240,6 +241,52 @@ def test_change_of_basis_round_trip():
 def test_change_of_basis_singular():
     with pytest.raises(SingularMatrixError):
         exact.change_of_basis(exact.Matrix.identity(2), [(1, 1), (2, 2)])
+
+
+# --- row reduction ----------------------------------------------------------
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda shape: st.lists(
+            st.lists(fractions, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        )
+    )
+)
+def test_row_reduce_property(rows):
+    import sympy
+
+    ids, pivots = exact.row_reduce(rows)
+    assert len(ids) == len(pivots) == exact.rank_of_rows(rows)
+    assert len(ids) == sympy.Matrix(rows).rank()
+    for col, row in pivots.items():
+        assert all(x == 0 for x in row[:col]) and row[col] == 1
+        assert all(row[c] == 0 for c in pivots if c != col)
+    # exactly the rows that raise the rank of the rows before them are chosen
+    ranks = [sympy.Matrix(rows[:i]).rank() for i in range(len(rows) + 1)]
+    assert ids == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(fractions, min_size=m, max_size=m), min_size=2 * m, max_size=2 * m
+        )
+    )
+)
+def test_solve_matrix_property(rows):
+    m = len(rows) // 2
+    V, C = M(rows[:m]), M(rows[m:])
+    if exact.det(V) == 0:
+        with pytest.raises(SingularMatrixError):
+            exact.solve_matrix(V, C)
+    else:
+        assert V @ exact.solve_matrix(V, C) == C
 
 
 # --- primitive vectors ------------------------------------------------------

@@ -60,6 +60,18 @@ def test_found_recurrence_verified_on_all_terms():
     assert r.status == "NONE_UP_TO"
 
 
+def test_zero_sequence_found_order_one():
+    # every coefficient column is free: phi is pinned to 0
+    r = rec.minimal_recurrence([0] * 8, 3)
+    assert r.status == "FOUND" and r.order == 1 and r.coefficients == (F(0),)
+
+
+def test_impulse_found_order_one():
+    r = rec.minimal_recurrence([1, 0, 0, 0, 0, 0], 3)
+    assert r.status == "FOUND" and r.order == 1 and r.coefficients == (F(0),)
+    assert rec.hankel_ranks([1, 0, 0, 0, 0], 3).ranks == (1, 1, 1)
+
+
 def test_scaling_invariance():
     base = [2**n + 3**n for n in range(16)]
     r1 = rec.minimal_recurrence(base, 5)

@@ -34,6 +34,16 @@ def test_profile_triangular_matches_diagonal():
     assert all(e.radius == 0.0 for e in p.eigenvalues)
 
 
+def test_profile_precision_bounds():
+    A = M([[0, 0, -2], [1, 0, 0], [0, 1, 0]])  # companion matrix of x^3 + 2
+    for bad in (0, -5, spectral.MAX_PRECISION + 1, 2000):
+        with pytest.raises(ValueError):
+            spectral.spectral_profile(A, precision=bad)
+    for ok in (1, spectral.MAX_PRECISION):
+        p = spectral.spectral_profile(M([[2, 1], [1, 1]]), precision=ok)
+        assert p.precision >= ok and abs(p.lambdas[1] - (3 + math.sqrt(5)) / 2) < 1e-12
+
+
 def test_profile_singular_rejected():
     with pytest.raises(SingularMatrixError):
         spectral.spectral_profile(M([[1, 1], [1, 1]]))
