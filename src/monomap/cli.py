@@ -209,7 +209,7 @@ def cmd_stability(args) -> dict:
     result = {
         "certificate": _certificate_json(cert),
         "pullback_abs": [[_frac(x) for x in row] for row in pb.matrix.rows],
-        "signed_minors": [[_frac(x) for x in row] for row in pb.signed.matrix.rows],
+        "signed_minors": [[_frac(x) for x in row] for row in pb.signed.rows],
         "labels": [list(t) for t in pb.labels],
         "model": _model_json(model),
     }

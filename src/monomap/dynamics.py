@@ -111,7 +111,7 @@ class PullbackMatrix:
 
     k: int
     matrix: exact.Matrix  # entrywise absolute values, non-negative
-    signed: exact.ExteriorMatrix  # the signed minors behind it
+    signed: exact.Matrix  # the signed minors behind it
     labels: tuple[tuple[int, ...], ...]
 
 
@@ -125,9 +125,9 @@ def pullback_matrix(A: exact.Matrix, model: SkewModel, k: int) -> PullbackMatrix
     signed = exact.exterior_power(B, k)
     return PullbackMatrix(
         k=k,
-        matrix=signed.matrix.abs_entries(),
+        matrix=signed.abs_entries(),
         signed=signed,
-        labels=signed.labels,
+        labels=exact.multi_indices(m, k),
     )
 
 
@@ -168,9 +168,11 @@ def check_k_stable(
     NOT_SIGN_UNIFORM, which is inconclusive, since the sign condition is
     sufficient but not necessary.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     pb = pullback_matrix(A, model, k)
-    sign = _uniform_sign(pb.signed.matrix)
-    signs = _sign_matrix(pb.signed.matrix)
+    sign = _uniform_sign(pb.signed)
+    signs = _sign_matrix(pb.signed)
     if sign is not None:
         return StabilityCertificate(
             k=k, verdict="STABLE_BY_SIGN", sign=sign, minor_signs=signs,
@@ -357,6 +359,8 @@ def find_power_l0(
     m = A.m
     if any(not 1 <= k <= m - 1 for k in ks):
         raise ValueError(f"every k must satisfy 1 <= k <= {m - 1}")
+    if max_l < 1 or confirm_window < 0:
+        raise ValueError("need max_l >= 1 and confirm_window >= 0")
     profile = spectral.spectral_profile(A)
     report = spectral.gap_report(profile)
     for k in ks:
@@ -373,7 +377,7 @@ def find_power_l0(
         power = power @ B
         row = {}
         for k in ks:
-            sign = _uniform_sign(exact.exterior_power(power, k).matrix)
+            sign = _uniform_sign(exact.exterior_power(power, k))
             row[k] = sign if sign is not None else "mixed"
         trace.append(row)
         uniform.append(all(row[k] != "mixed" for k in ks))

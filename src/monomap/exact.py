@@ -63,14 +63,6 @@ class Matrix:
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for r in self.rows for x in r)
 
-    @property
-    def is_dominant(self) -> bool:
-        """Whether the attached monomial map is dominant: det != 0, exactly."""
-        return det(self) != 0
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.rows)
 
@@ -96,9 +88,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.m != other.m:
             raise ValueError("dimension mismatch")
@@ -110,9 +99,6 @@ class Matrix:
         if len(v) != self.m:
             raise ValueError("dimension mismatch")
         return tuple(_dot(r, v) for r in self.rows)
-
-    def __pow__(self, n: int) -> "Matrix":
-        return mat_pow(self, n)
 
 
 def _dot(a, b) -> Fraction:
@@ -170,26 +156,14 @@ def minor(M: Matrix, I, J) -> Fraction:
     return det(submatrix(M, I, J))
 
 
-@dataclass(frozen=True)
-class ExteriorMatrix:
+def exterior_power(M: Matrix, k: int) -> Matrix:
     """Matrix of all k x k minors in lex multi-index order (the map on Lambda^k)."""
-
-    source_dim: int
-    k: int
-    matrix: Matrix
-
-    @property
-    def labels(self) -> tuple[tuple[int, ...], ...]:
-        return multi_indices(self.source_dim, self.k)
-
-
-def exterior_power(M: Matrix, k: int) -> ExteriorMatrix:
     m = M.m
     if not 1 <= k <= m:
         raise ValueError(f"k must satisfy 1 <= k <= {m}")
     idx = multi_indices(m, k)
     rows = tuple(tuple(minor(M, I, J) for J in idx) for I in idx)
-    return ExteriorMatrix(m, k, Matrix(rows))
+    return Matrix(rows)
 
 
 def mat_pow(M: Matrix, n: int) -> Matrix:
@@ -220,10 +194,8 @@ class CharPoly:
         return self.coeffs + (Fraction(1),)
 
 
-def char_poly(M) -> CharPoly:
+def char_poly(M: Matrix) -> CharPoly:
     """Characteristic polynomial det(rI - M) by Faddeev-LeVerrier (exact)."""
-    if isinstance(M, ExteriorMatrix):
-        M = M.matrix
     n = M.m
     coeffs = [Fraction(0)] * n
     Mk = M

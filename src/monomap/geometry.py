@@ -45,14 +45,6 @@ class Polytope:
         if any(len(v) != self.m for v in self.vertices):
             raise ValueError("vertex length does not match ambient dimension")
 
-    def translate(self, t) -> "Polytope":
-        t = _point(t)
-        return Polytope(
-            self.m,
-            tuple(sorted(tuple(a + b for a, b in zip(v, t)) for v in self.vertices)),
-            self.dim,
-        )
-
     def scale(self, r) -> "Polytope":
         r = Fraction(r)
         if r < 0:

@@ -30,25 +30,10 @@ class RecurrenceReport:
     checked_terms: int
     order_cap: int
 
-    def char_poly(self) -> exact.CharPoly:
-        if self.status != "FOUND":
-            raise ValueError("no recurrence was found")
-        return exact.CharPoly(self.coefficients)
-
 
 @dataclass(frozen=True)
 class HankelProfile:
     ranks: tuple[int, ...]  # rank of H_s for s = 1..S
-
-    @property
-    def max_size(self) -> int:
-        return len(self.ranks)
-
-    def stagnation_rank(self) -> int | None:
-        """The stabilized rank, if the profile has flattened out."""
-        if len(self.ranks) >= 2 and self.ranks[-1] == self.ranks[-2]:
-            return self.ranks[-1]
-        return None
 
 
 def _solve_recurrence(vals, r):

@@ -1,11 +1,12 @@
 """Certified spectral analysis of integer matrices.
 
 Eigenvalues are computed from the exact characteristic polynomial, factored
-into irreducible pieces over Q first.  Rational roots and quadratic factors
-are handled exactly; higher-degree factors get numeric roots with a
-posteriori inclusion disks (Smith-style bound: the disk around each
-approximation z_i of a degree-n factor p with radius n|p(z_i)| / prod|z_i-z_j|
-contains a true root, and pairwise disjoint disks isolate the roots).
+into irreducible pieces over Q first; sympy does the factoring and the exact
+(Sturm) real-root counts.  Rational roots and quadratic factors are handled
+exactly; higher-degree factors get numeric roots with a posteriori inclusion
+disks (Smith-style bound: the disk around each approximation z_i of a
+degree-n factor p with radius n|p(z_i)| / prod|z_i-z_j| contains a true root,
+and pairwise disjoint disks isolate the roots).
 Floating steps run in mpmath at the working precision with explicit slack for
 rounding, so the stored intervals are honest upper bounds.
 
@@ -30,115 +31,28 @@ MAX_PRECISION = 1024
 Poly = tuple[Fraction, ...]  # ascending coefficients, leading included
 
 
-# ---------------------------------------------------------------------------
-# small exact polynomial toolbox (ascending coefficient tuples)
-
-def poly_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_deriv(p):
-    return poly_trim(tuple(p[i] * i for i in range(1, len(p))))
-
-
-def poly_divmod(p, q):
-    p = list(p)
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(poly_trim(p)) >= len(q):
-        p = list(poly_trim(p))
-        shift = len(p) - len(q)
-        f = p[-1] / q[-1]
-        quot[shift] = f
-        for i, c in enumerate(q):
-            p[shift + i] -= f * c
-    return poly_trim(quot), poly_trim(p)
-
-
-def poly_gcd(p, q):
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
-def sturm_chain(p):
-    chain = [poly_trim(p), poly_deriv(p)]
-    while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(tuple(-c for c in r))
-    return [c for c in chain if c]
-
-
-def _sign_at(p, x) -> int:
-    """Sign of p at x; x may be +-inf (strings '+inf'/'-inf')."""
-    if x == "+inf":
-        return 1 if p[-1] > 0 else -1
-    if x == "-inf":
-        s = 1 if p[-1] > 0 else -1
-        return s if (len(p) - 1) % 2 == 0 else -s
-    v = poly_eval(p, x)
-    return (v > 0) - (v < 0)
-
-
-def _sign_variations(chain, x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p, lo="-inf", hi="+inf") -> int:
-    """Number of distinct real roots of p in (lo, hi], by Sturm's theorem."""
-    chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+def _qq_poly(p) -> sympy.Poly:
+    """The polynomial with ascending coefficients p, over QQ in sympy."""
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
+        sympy.Symbol("x"),
+        domain="QQ",
+    )
 
 
 def rational_factors(p) -> list[tuple[Poly, int]]:
     """Irreducible monic factors of p over Q with multiplicities (exact)."""
-    x = sympy.Symbol("x")
-    sp = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
-        x,
-        domain="QQ",
-    )
+    sp = _qq_poly(p)
     _, factors = sp.factor_list()
     out = []
     for f, mult in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        lead = cs[-1]
-        cs = tuple(c / lead for c in cs)
+        cs = tuple(Fraction(c.p, c.q) for c in reversed(f.monic().all_coeffs()))
         out.append((cs, int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    check = (Fraction(1),)
+    check = _qq_poly((Fraction(1),))
     for f, mult in out:
-        for _ in range(mult):
-            check = poly_mul(check, f)
-    if poly_trim(check) != poly_trim(p):
+        check *= _qq_poly(f) ** mult
+    if check != sp:
         raise AssertionError("factorization does not multiply back")
     return out
 
@@ -270,8 +184,8 @@ def _roots_of_factor(f: Poly, prec: int):
             if den <= 0:
                 return None
             out.append([z, deg * num / den])
-        # realness via Sturm count of the exact factor
-        n_real = count_real_roots(f)
+        # realness via the exact real-root count of the factor
+        n_real = _qq_poly(f).count_roots()
         order = sorted(range(deg), key=lambda i: abs(mpmath.im(out[i][0])))
         real_ids = set(order[:n_real])
         for i in real_ids:
@@ -535,20 +449,16 @@ def _best_rational(x: float, max_den: int) -> tuple[int, int]:
 def real_spectrum_certificate(A: exact.Matrix) -> str | None:
     """Exactly certify 'm distinct real eigenvalues, all positive/negative'.
 
-    Returns "positive", "negative", or None, using Sturm counts on the exact
-    characteristic polynomial (no numerics involved).
+    Returns "positive", "negative", or None, using sympy's Sturm counts of
+    real roots on the exact characteristic polynomial (no numerics involved).
     """
-    chi = exact.char_poly(A).full_coeffs()
-    m = len(chi) - 1
-    if poly_eval(chi, Fraction(0)) == 0:
-        return None  # zero eigenvalue
-    g = poly_gcd(chi, poly_deriv(chi))
-    if len(g) - 1 != 0:
-        return None  # repeated eigenvalue
-    if count_real_roots(chi) != m:
-        return None
-    if count_real_roots(chi, Fraction(0), "+inf") == m:
+    chi = _qq_poly(exact.char_poly(A).full_coeffs())
+    m = chi.degree()
+    if chi.eval(0) == 0 or not chi.is_sqf or chi.count_roots() != m:
+        return None  # a zero, repeated or non-real eigenvalue
+    positive = chi.count_roots(0, None)
+    if positive == m:
         return "positive"
-    if count_real_roots(chi, "-inf", Fraction(0)) == m:
+    if positive == 0:
         return "negative"
     return None

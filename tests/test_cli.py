@@ -111,6 +111,21 @@ def test_stabilize_power_with_explicit_model(tmp_path, capsys):
     assert env["result"]["l0"] == 4
 
 
+@pytest.mark.parametrize("cmd, flags", [
+    ("stabilize", ["--mode", "power", "--confirm-window", "-1"]),
+    ("stabilize", ["--mode", "power", "--confirm-window", "-2", "--max-l", "3"]),
+    ("stabilize", ["--mode", "power", "--max-l", "0"]),
+    ("stability", ["--k", "1", "--horizon", "0"]),
+    ("stability", ["--k", "1", "--horizon", "-3"]),
+])
+def test_negative_search_bounds_are_value_errors(tmp_path, capsys, cmd, flags):
+    mf = matrix_file(tmp_path, [[-1, 2], [2, 2]])
+    bf = write_json(tmp_path, "std.json", {"vectors": [["1", "0"], ["0", "1"]]})
+    code, out = run_cli(capsys, [cmd, "--matrix", mf, "--basis", bf] + flags)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_stabilize_power_searched_model(tmp_path, capsys):
     mf = matrix_file(tmp_path, [[-1, 2], [2, 2]])
     code, out = run_cli(

@@ -68,7 +68,7 @@ def test_pullback_positive_matrix():
 def test_pullback_absolute_values():
     pb = dyn.pullback_matrix(M([[-3, 0], [0, 1]]), dyn.standard_model(2), 1)
     assert pb.matrix == M([[3, 0], [0, 1]])
-    assert pb.signed.matrix == M([[-3, 0], [0, 1]])
+    assert pb.signed == M([[-3, 0], [0, 1]])
 
 
 def test_pullback_k_range():
@@ -120,8 +120,8 @@ def test_sign_pattern_invariant_under_alpha_scaling():
     for k in (1,):
         Bu = exact.change_of_basis(A, model.u)
         Be = exact.change_of_basis(A, model.epsilon)
-        su = dyn._sign_matrix(exact.exterior_power(Bu, k).matrix)
-        se = dyn._sign_matrix(exact.exterior_power(Be, k).matrix)
+        su = dyn._sign_matrix(exact.exterior_power(Bu, k))
+        se = dyn._sign_matrix(exact.exterior_power(Be, k))
         assert su == se
 
 
@@ -152,9 +152,11 @@ def test_basis_search_checkerboard():
 
 
 def test_basis_search_negative_spectrum():
-    res = dyn.stabilize_basis_search(M([[-2, -1], [-1, -1]]), seed=1)
-    c = res.certificates[0]
-    assert c.verdict == "STABLE_BY_SIGN" and c.sign == "-"
+    # the first is stable on the standard model, the second needs the search
+    for rows in ([[-2, -1], [-1, -1]], [[-3, 1], [1, -2]]):
+        res = dyn.stabilize_basis_search(M(rows), seed=1)
+        c = res.certificates[0]
+        assert c.verdict == "STABLE_BY_SIGN" and c.sign == "-"
 
 
 def test_basis_search_self_certifies():
@@ -201,6 +203,19 @@ def test_power_alternating_never_uniformizes():
 def test_power_requires_certified_gap():
     with pytest.raises(PreconditionError):
         dyn.find_power_l0(M([[2, 1], [-1, 2]]), dyn.standard_model(2), [1])
+
+
+def test_search_bounds_must_be_positive():
+    A, model = M([[-1, 2], [2, 2]]), dyn.standard_model(2)
+    for max_l, window in ((12, -1), (3, -2), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            dyn.find_power_l0(A, model, [1], max_l=max_l, confirm_window=window)
+    # window 0 accepts the first sign-uniform power on its own
+    assert dyn.find_power_l0(A, model, [1], max_l=4, confirm_window=0).l0 == 2
+    for horizon in (0, -3):
+        with pytest.raises(ValueError):
+            dyn.check_k_stable(A, model, 1, horizon=horizon)
+    assert dyn.check_k_stable(A, model, 1, horizon=1).verdict == "NOT_SIGN_UNIFORM"
 
 
 def test_power_search_recertifies():

@@ -46,8 +46,8 @@ def test_det_rational_entries():
 
 
 def test_dominant_flag_is_exact():
-    assert M([[2, 1], [1, 1]]).is_dominant
-    assert not M([[1, 1], [1, 1]]).is_dominant
+    assert exact.det(M([[2, 1], [1, 1]])) != 0
+    assert exact.det(M([[1, 1], [1, 1]])) == 0
 
 
 def test_det_multiplicative():
@@ -99,20 +99,20 @@ def test_exterior_identity():
         E = exact.exterior_power(exact.Matrix.identity(m), k)
         from math import comb
 
-        assert E.matrix == exact.Matrix.identity(comb(m, k))
+        assert E == exact.Matrix.identity(comb(m, k))
 
 
 def test_exterior_diagonal_products():
     E = exact.exterior_power(exact.Matrix.diagonal([2, 3, 5]), 2)
-    assert E.matrix == exact.Matrix.diagonal([6, 10, 15])
-    assert E.labels == ((1, 2), (1, 3), (2, 3))
+    assert E == exact.Matrix.diagonal([6, 10, 15])
+    assert exact.multi_indices(3, 2) == ((1, 2), (1, 3), (2, 3))
 
 
 def test_exterior_top_is_det():
     rng = random.Random(5)
     A = rand_matrix(rng, 4)
     E = exact.exterior_power(A, 4)
-    assert E.matrix.rows == ((exact.det(A),),)
+    assert E.rows == ((exact.det(A),),)
 
 
 def test_cauchy_binet_random():
@@ -120,8 +120,8 @@ def test_cauchy_binet_random():
     for _ in range(10):
         A, B = rand_matrix(rng, 3), rand_matrix(rng, 3)
         for k in (1, 2, 3):
-            lhs = exact.exterior_power(A @ B, k).matrix
-            rhs = exact.exterior_power(A, k).matrix @ exact.exterior_power(B, k).matrix
+            lhs = exact.exterior_power(A @ B, k)
+            rhs = exact.exterior_power(A, k) @ exact.exterior_power(B, k)
             assert lhs == rhs
 
 
@@ -142,8 +142,8 @@ def test_cauchy_binet_property(data):
     m, rows = data
     A, B = M(rows[:m]), M(rows[m:])
     for k in range(1, m + 1):
-        lhs = exact.exterior_power(A @ B, k).matrix
-        rhs = exact.exterior_power(A, k).matrix @ exact.exterior_power(B, k).matrix
+        lhs = exact.exterior_power(A @ B, k)
+        rhs = exact.exterior_power(A, k) @ exact.exterior_power(B, k)
         assert lhs == rhs
 
 
@@ -151,9 +151,9 @@ def test_exterior_power_compatibility():
     rng = random.Random(7)
     A = rand_matrix(rng, 3, -3, 3)
     for k in (1, 2, 3):
-        Ek = exact.exterior_power(A, k).matrix
+        Ek = exact.exterior_power(A, k)
         for n in range(0, 9):
-            assert exact.exterior_power(exact.mat_pow(A, n), k).matrix == exact.mat_pow(Ek, n)
+            assert exact.exterior_power(exact.mat_pow(A, n), k) == exact.mat_pow(Ek, n)
 
 
 def test_exterior_k_out_of_range():

@@ -130,7 +130,7 @@ def test_volume_scales_with_det():
 def test_minkowski_translate():
     P = geo.standard_simplex(2)
     Q = geo.convex_hull([(3, 4)])
-    assert geo.minkowski_sum(P, Q) == P.translate((3, 4))
+    assert geo.minkowski_sum(P, Q) == geo.convex_hull([(3, 4), (4, 4), (3, 5)])
 
 
 def test_minkowski_segments_make_square():

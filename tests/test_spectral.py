@@ -2,9 +2,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from monomap import exact, spectral
 from monomap.errors import PreconditionError, SingularMatrixError
+from reference import companion
 
 M = exact.Matrix.from_rows
 
@@ -189,13 +192,50 @@ def test_real_spectrum_rejects_repeated():
     assert spectral.real_spectrum_certificate(M([[3, 0], [0, 3]])) is None
 
 
-def test_sturm_counts():
-    # (x-1)(x-2)(x+3) = x^3 - 7x + 6
-    p = (F(6), F(-7), F(0), F(1))
-    assert spectral.count_real_roots(p) == 3
-    assert spectral.count_real_roots(p, F(0), "+inf") == 2
-    assert spectral.count_real_roots(p, "-inf", F(0)) == 1
-    assert spectral.count_real_roots(p, F(1), F(2)) == 1  # (1, 2] holds just 2
+@settings(max_examples=60, deadline=None)
+@example(([[1, 1], [0, 1]], [0, 2]))  # a zero eigenvalue
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                     min_size=m, max_size=m),
+            st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+        )
+    )
+)
+def test_real_spectrum_certificate_property(data):
+    rows, D = data
+    P = M(rows)
+    assume(exact.det(P) != 0)
+    A = P @ exact.Matrix.diagonal(D) @ exact.inverse(P)
+    if len(set(D)) < len(D) or 0 in D or min(D) < 0 < max(D):
+        want = None  # repeated, zero or mixed-sign eigenvalues
+    else:
+        want = "positive" if D[0] > 0 else "negative"
+    assert spectral.real_spectrum_certificate(A) == want
+
+
+def _companion(*coeffs):
+    """Companion matrix of x^n + c_{n-1} x^{n-1} + ... + c_0, coeffs ascending."""
+    return companion(exact.CharPoly(tuple(F(c) for c in coeffs)))
+
+
+def test_profile_irreducible_cubic_real_roots():
+    # x^3 - 3x + 1 is irreducible with three real roots 2cos(2 pi j / 9)
+    p = spectral.spectral_profile(_companion(1, -3, 0))
+    assert [len(f) - 1 for f, _ in p.factors] == [3]
+    assert [e.is_real for e in p.eigenvalues] == [True, True, True]
+    # x^3 - x - 1: one real root, a conjugate pair of smaller modulus
+    p = spectral.spectral_profile(_companion(-1, -1, 0))
+    assert [e.is_real for e in p.eigenvalues] == [True, False, False]
+
+
+def test_roots_of_cube_root_of_two_one_real():
+    # x^3 + 2 has three roots of one modulus, so spectral_profile cannot sort
+    # them; its factor's roots still carry the exact real-root count
+    f = spectral.rational_factors((F(2), F(0), F(0), F(1)))[0][0]
+    roots = spectral._roots_of_factor(f, spectral.DEFAULT_PRECISION)
+    assert sorted(is_real for *_, is_real, _ in roots) == [False, False, True]
 
 
 def test_rational_factors_multiply_back():
