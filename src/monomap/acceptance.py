@@ -25,10 +25,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _rand_int_matrix(rng, m, lo=-5, hi=5, nonsingular=False):
     while True:
         A = exact.Matrix.from_rows(
@@ -163,7 +159,7 @@ def criterion_stable_degree_pipeline(seed: int) -> dict:
         details[f"k{k}"] = {
             "verdict": cert.verdict,
             "sign": cert.sign,
-            "first_degrees": [_frac(v) for v in seq.values[:5]],
+            "first_degrees": [str(v) for v in seq.values[:5]],
             "residuals_all_zero": all(r == 0 for r in residuals),
         }
     return {
@@ -275,7 +271,7 @@ def criterion_desk_evidence(seed: int) -> dict:
         "details": {
             "gap_verdicts": list(report.verdicts),
             "root_of_unity": rou.status,
-            "first_degrees": [_frac(v) for v in seq.values[:6]],
+            "first_degrees": [str(v) for v in seq.values[:6]],
             "recurrence": {"status": rec.status, "order_cap": rec.order},
             "hankel_ranks": list(profile_ranks.ranks),
             "cayley_hamilton_residual_nonzero": ch_ok,
@@ -304,7 +300,7 @@ def criterion_lambda_convergence(seed: int) -> dict:
             est = dynamics.lambda_estimate(seq, prof)
             devs.append(round(est.relative_deviation, 6))
             ok = ok and est.relative_deviation < 0.05
-        rows.append({"matrix": [[_frac(x) for x in r] for r in A.rows],
+        rows.append({"matrix": [[str(x) for x in r] for r in A.rows],
                      "deviations": devs})
     return {
         "id": 9,

@@ -33,10 +33,6 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _parse_frac(s, where: str) -> Fraction:
     try:
         return Fraction(str(s))
@@ -105,19 +101,7 @@ def parse_sequence(obj, where: str = "sequence"):
 
 
 def matrix_json(M: exact.Matrix) -> dict:
-    return {"m": M.m, "entries": [[_frac(x) for x in row] for row in M.rows]}
-
-
-def envelope(command, inputs, config, result, provenance, timing_ms):
-    return {
-        "tool": {"name": "monomap", "version": __version__},
-        "command": command,
-        "input": inputs,
-        "config": config,
-        "result": result,
-        "provenance": provenance,
-        "timing_ms": timing_ms,
-    }
+    return {"m": M.m, "entries": [[str(x) for x in row] for row in M.rows]}
 
 
 def _certificate_json(c: dynamics.StabilityCertificate) -> dict:
@@ -133,10 +117,10 @@ def _certificate_json(c: dynamics.StabilityCertificate) -> dict:
 
 def _model_json(model: dynamics.SkewModel) -> dict:
     return {
-        "epsilon": [[_frac(x) for x in e] for e in model.epsilon],
-        "u": [[_frac(x) for x in u] for u in model.u],
+        "epsilon": [[str(x) for x in e] for e in model.epsilon],
+        "u": [[str(x) for x in u] for u in model.u],
         "v": [list(v) for v in model.v],
-        "alpha": [_frac(a) for a in model.alpha],
+        "alpha": [str(a) for a in model.alpha],
     }
 
 
@@ -152,8 +136,8 @@ def cmd_spectrum(args) -> dict:
             "re": e.re,
             "im": e.im,
             "radius": e.radius,
-            "exact_value": _frac(e.value_exact) if e.value_exact is not None else None,
-            "mod2_exact": _frac(e.mod2_exact) if e.mod2_exact is not None else None,
+            "exact_value": str(e.value_exact) if e.value_exact is not None else None,
+            "mod2_exact": str(e.mod2_exact) if e.mod2_exact is not None else None,
         }
         for e in profile.eigenvalues
     ]
@@ -174,8 +158,8 @@ def cmd_spectrum(args) -> dict:
                 {"k": k, "status": v.status, "order": v.order, "witness": v.witness}
             )
     result = {
-        "det": _frac(exact.det(A)),
-        "char_poly_ascending": [_frac(c) for c in exact.char_poly(A).full_coeffs()],
+        "det": str(exact.det(A)),
+        "char_poly_ascending": [str(c) for c in exact.char_poly(A).full_coeffs()],
         "eigenvalues": eigen,
         "lambdas": list(profile.lambdas),
         "gaps": gaps,
@@ -208,8 +192,8 @@ def cmd_stability(args) -> dict:
     pb = dynamics.pullback_matrix(A, model, args.k)
     result = {
         "certificate": _certificate_json(cert),
-        "pullback_abs": [[_frac(x) for x in row] for row in pb.matrix.rows],
-        "signed_minors": [[_frac(x) for x in row] for row in pb.signed.rows],
+        "pullback_abs": [[str(x) for x in row] for row in pb.matrix.rows],
+        "signed_minors": [[str(x) for x in row] for row in pb.signed.rows],
         "labels": [list(t) for t in pb.labels],
         "model": _model_json(model),
     }
@@ -219,7 +203,7 @@ def cmd_stability(args) -> dict:
         "result": result,
         "provenance": provenance,
         "input": {"matrix": matrix_json(A),
-                  "basis": [[_frac(x) for x in e] for e in model.epsilon]},
+                  "basis": [[str(x) for x in e] for e in model.epsilon]},
         "config": {"k": args.k, "horizon": args.horizon},
     }
 
@@ -255,6 +239,8 @@ def cmd_stabilize(args) -> dict:
         if args.basis:
             model = dynamics.build_skew_model(parse_basis(load_json(args.basis), A.m))
         else:
+            # bounds and gaps first: the orthant search is the costly step
+            dynamics.check_power_search(A, ks, args.max_l, args.confirm_window)
             model = dynamics.orthant_basis(
                 A, denominator_bound=args.denominator_bound,
                 attempts=args.attempts, seed=args.seed,
@@ -295,7 +281,7 @@ def _parse_ks(spec: str | None, m: int):
 
 
 def _default_polytope(args, m: int) -> geometry.Polytope:
-    if getattr(args, "polytope", None):
+    if args.polytope:
         return parse_polytope(load_json(args.polytope), m)
     return geometry.standard_simplex(m)
 
@@ -313,7 +299,7 @@ def cmd_degrees(args) -> dict:
         )
     result = {
         "k": args.k,
-        "degrees": {str(n + 1): _frac(v) for n, v in enumerate(seq.values)},
+        "degrees": {str(n + 1): str(v) for n, v in enumerate(seq.values)},
         "integral": integral,
     }
     if args.terms >= 5:
@@ -330,7 +316,7 @@ def cmd_degrees(args) -> dict:
         "provenance": provenance,
         "input": {
             "matrix": matrix_json(A),
-            "polytope": {"vertices": [[_frac(x) for x in v] for v in P.vertices]},
+            "polytope": {"vertices": [[str(x) for x in v] for v in P.vertices]},
         },
         "config": {"k": args.k, "terms": args.terms},
     }
@@ -342,7 +328,7 @@ def cmd_recurrence(args) -> dict:
     ch_check = None
     if args.sequence:
         values = parse_sequence(load_json(args.sequence))
-        inputs["sequence"] = [_frac(v) for v in values]
+        inputs["sequence"] = [str(v) for v in values]
     elif args.from_degrees:
         if args.matrix is None or args.k is None or args.terms is None:
             raise InputError("--from-degrees needs --matrix, --k and --terms")
@@ -358,7 +344,7 @@ def cmd_recurrence(args) -> dict:
             residuals = recurrence.cayley_hamilton_check(values, chi)
             ch_check = {
                 "stability_verdict": cert.verdict,
-                "char_poly_ascending": [_frac(c) for c in chi.full_coeffs()],
+                "char_poly_ascending": [str(c) for c in chi.full_coeffs()],
                 "residuals_all_zero": all(r == 0 for r in residuals),
                 "nonzero_residuals": sum(1 for r in residuals if r != 0),
             }
@@ -371,7 +357,7 @@ def cmd_recurrence(args) -> dict:
         "recurrence": {
             "status": report.status,
             "order": report.order,
-            "coefficients": [_frac(c) for c in report.coefficients]
+            "coefficients": [str(c) for c in report.coefficients]
             if report.coefficients is not None
             else None,
             "checked_terms": report.checked_terms,
@@ -403,19 +389,14 @@ def cmd_verify_acceptance(args) -> int:
     else:
         sys.stdout.write(payload)
     golden_status = "skipped"
+    golden_path = resources.files("monomap").joinpath("golden/acceptance.json")
     if args.update_golden:
-        golden_path = resources.files("monomap").joinpath("golden/acceptance.json")
         with open(str(golden_path), "w") as fh:
             fh.write(payload)
         golden_status = "updated"
     elif args.seed == acceptance.DEFAULT_SEED:
         try:
-            golden = (
-                resources.files("monomap")
-                .joinpath("golden/acceptance.json")
-                .read_text()
-            )
-            golden_status = "match" if golden == payload else "MISMATCH"
+            golden_status = "match" if golden_path.read_text() == payload else "MISMATCH"
         except FileNotFoundError:
             golden_status = "missing"
     print(f"golden: {golden_status}", file=sys.stderr)
@@ -517,24 +498,21 @@ def main(argv=None) -> int:
         parts = args.func(args)
     except (InputError, InsufficientData, SingularMatrixError, DegeneratePolytopeError,
             ValueError) as e:
-        _emit_error(args, type(e).__name__, str(e))
+        _emit_error(type(e).__name__, str(e))
         return EXIT_INPUT
     except PreconditionError as e:
-        _emit_error(args, "PreconditionError", str(e))
+        _emit_error("PreconditionError", str(e))
         return EXIT_PRECONDITION
     except (SearchExhausted, PrecisionExhausted) as e:
         extra = {"log_entries": len(getattr(e, "log", []) or [])}
-        _emit_error(args, type(e).__name__, str(e), extra)
+        _emit_error(type(e).__name__, str(e), extra)
         return EXIT_SEARCH_EXHAUSTED
-    timing_ms = round(1000 * (time.perf_counter() - t0), 3)
-    env = envelope(
-        command=args.cmd,
-        inputs=parts["input"],
-        config=parts["config"],
-        result=parts["result"],
-        provenance=parts["provenance"],
-        timing_ms=timing_ms,
-    )
+    env = {
+        "tool": {"name": "monomap", "version": __version__},
+        "command": args.cmd,
+        **parts,
+        "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
+    }
     if args.output == "table":
         sys.stdout.write(_render_table(env))
     else:
@@ -542,7 +520,7 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-def _emit_error(args, kind: str, message: str, extra: dict | None = None):
+def _emit_error(kind: str, message: str, extra: dict | None = None):
     payload = {"error": {"type": kind, "message": message, **(extra or {})}}
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

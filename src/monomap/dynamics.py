@@ -48,11 +48,6 @@ class SkewModel:
     v: tuple[tuple[int, ...], ...]
     alpha: tuple[Fraction, ...]
 
-    @property
-    def is_standard(self) -> bool:
-        return self.u == tuple(tuple(Fraction(int(i == j)) for j in range(self.m))
-                               for i in range(self.m))
-
 
 def build_skew_model(epsilon) -> SkewModel:
     """Build the model determined by a rational basis of M_Q.
@@ -171,13 +166,10 @@ def check_k_stable(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     pb = pullback_matrix(A, model, k)
-    sign = _uniform_sign(pb.signed)
+    cert = _sign_certificate(pb.signed, k, horizon)
+    if cert is not None:
+        return cert
     signs = _sign_matrix(pb.signed)
-    if sign is not None:
-        return StabilityCertificate(
-            k=k, verdict="STABLE_BY_SIGN", sign=sign, minor_signs=signs,
-            horizon=horizon,
-        )
     iterated = pb.matrix
     for n in range(2, horizon + 1):
         iterated = iterated @ pb.matrix
@@ -191,6 +183,29 @@ def check_k_stable(
         k=k, verdict="NOT_SIGN_UNIFORM", sign=None, minor_signs=signs,
         horizon=horizon,
     )
+
+
+def _sign_certificate(signed: exact.Matrix, k: int, horizon: int = DEFAULT_HORIZON):
+    """The STABLE_BY_SIGN certificate of the signed k-minors, or None when
+    their signs are mixed."""
+    sign = _uniform_sign(signed)
+    if sign is None:
+        return None
+    return StabilityCertificate(k=k, verdict="STABLE_BY_SIGN", sign=sign,
+                                minor_signs=_sign_matrix(signed), horizon=horizon)
+
+
+def _sign_certificates(A: exact.Matrix, model: SkewModel, ks):
+    """STABLE_BY_SIGN certificates for every k in ks, or None at the first k
+    without one; a rejected model costs only its minors, never a falsifier."""
+    B = exact.change_of_basis(A, model.u)
+    certs = []
+    for k in ks:
+        cert = _sign_certificate(exact.exterior_power(B, k), k)
+        if cert is None:
+            return None
+        certs.append(cert)
+    return tuple(certs)
 
 
 @dataclass(frozen=True)
@@ -278,17 +293,6 @@ def _candidate_models(frame, spectrum, attempts, perturb_scale, denominator_boun
             continue
 
 
-def _sign_certificates(A: exact.Matrix, model: SkewModel):
-    """STABLE_BY_SIGN certificates for k = 1..m-1, or None at the first k without."""
-    certs = []
-    for k in range(1, A.m):
-        cert = check_k_stable(A, model, k)
-        if cert.verdict != "STABLE_BY_SIGN":
-            return None
-        certs.append(cert)
-    return tuple(certs)
-
-
 def stabilize_basis_search(
     A: exact.Matrix,
     attempts: int = DEFAULT_ATTEMPTS,
@@ -313,7 +317,7 @@ def stabilize_basis_search(
             "spectrum is not certified real, distinct, and of uniform sign"
         )
     model = standard_model(A.m)
-    certs = _sign_certificates(A, model)
+    certs = _sign_certificates(A, model, range(1, A.m))
     log = [{"attempt": 0, "candidate": "standard-basis", "certified": certs is not None}]
     if certs is None:
         M = A if kind == "positive" else -A
@@ -321,7 +325,7 @@ def stabilize_basis_search(
         order = np.argsort(-w.real)
         for model in _candidate_models(W.real[:, order], w.real[order], attempts,
                                        perturb_scale, denominator_bound, seed, log):
-            certs = _sign_certificates(A, model)
+            certs = _sign_certificates(A, model, range(1, A.m))
             if certs is not None:
                 log[-1]["certified"] = True  # the attempt that yielded model
                 break
@@ -340,6 +344,25 @@ def stabilize_basis_search(
 # ---------------------------------------------------------------------------
 # Theorem-B-style search: a stabilizing power
 
+def check_power_search(A: exact.Matrix, ks, max_l: int, confirm_window: int) -> list[int]:
+    """The sorted distinct ks of a power search, once its bounds are valid
+    (ValueError) and |mu_k| > |mu_{k+1}| is certified for each k
+    (PreconditionError).  Costs one spectral profile and no search."""
+    ks = sorted(set(int(k) for k in ks))
+    if any(not 1 <= k <= A.m - 1 for k in ks):
+        raise ValueError(f"every k must satisfy 1 <= k <= {A.m - 1}")
+    if max_l < 1 or confirm_window < 0:
+        raise ValueError("need max_l >= 1 and confirm_window >= 0")
+    report = spectral.gap_report(spectral.spectral_profile(A))
+    for k in ks:
+        if report.verdict(k) != "CERTIFIED_GAP":
+            raise PreconditionError(
+                f"|mu_{k}| > |mu_{k + 1}| is not certified "
+                f"(verdict {report.verdict(k)})"
+            )
+    return ks
+
+
 def find_power_l0(
     A: exact.Matrix,
     model: SkewModel,
@@ -353,39 +376,26 @@ def find_power_l0(
     Requires a certified modulus gap |mu_k| > |mu_{k+1}| for each requested k.
     The confirmation window guards against accidental sign-uniformity at an
     isolated power; the window length does not certify all larger powers, so
-    the trace is returned alongside.
+    the trace (one entry per power scanned, ending at l0 + confirm_window) is
+    returned alongside.
     """
-    ks = sorted(set(int(k) for k in ks))
-    m = A.m
-    if any(not 1 <= k <= m - 1 for k in ks):
-        raise ValueError(f"every k must satisfy 1 <= k <= {m - 1}")
-    if max_l < 1 or confirm_window < 0:
-        raise ValueError("need max_l >= 1 and confirm_window >= 0")
-    profile = spectral.spectral_profile(A)
-    report = spectral.gap_report(profile)
-    for k in ks:
-        if report.verdict(k) != "CERTIFIED_GAP":
-            raise PreconditionError(
-                f"|mu_{k}| > |mu_{k + 1}| is not certified "
-                f"(verdict {report.verdict(k)})"
-            )
+    ks = check_power_search(A, ks, max_l, confirm_window)
     B = exact.change_of_basis(A, model.u)
     trace = []  # per power: dict k -> sign or 'mixed'
-    power = exact.Matrix.identity(m)
-    uniform = []
-    for _ in range(1, max_l + confirm_window + 1):
+    power = exact.Matrix.identity(A.m)
+    run = 0  # sign-uniform powers in a row, ending at power l
+    for l in range(1, max_l + confirm_window + 1):
         power = power @ B
         row = {}
         for k in ks:
             sign = _uniform_sign(exact.exterior_power(power, k))
             row[k] = sign if sign is not None else "mixed"
         trace.append(row)
-        uniform.append(all(row[k] != "mixed" for k in ks))
-    for l0 in range(1, max_l + 1):
-        if all(uniform[l - 1] for l in range(l0, l0 + confirm_window + 1)):
-            Al0 = exact.mat_pow(A, l0)
-            certs = tuple(check_k_stable(Al0, model, k) for k in ks)
-            if not all(c.verdict == "STABLE_BY_SIGN" for c in certs):
+        run = run + 1 if "mixed" not in row.values() else 0
+        if run > confirm_window:
+            l0 = l - confirm_window
+            certs = _sign_certificates(exact.mat_pow(A, l0), model, ks)
+            if certs is None:
                 raise AssertionError("re-certification of A^l0 failed")
             return StabilizationResult(
                 mode="POWER", model=model, certified_k=tuple(ks),
@@ -416,15 +426,12 @@ def orthant_basis(
     first orthant of the model.  Validation here is numeric only; exact
     certificates come from the downstream power search.
     """
-    if exact.det(A) == 0:
-        raise SingularMatrixError("map is not dominant (det A = 0)")
     m = A.m
-    profile = spectral.spectral_profile(A)
-    report = spectral.gap_report(profile)
-    if not any(v == "CERTIFIED_GAP" for v in report.verdicts):
+    report = spectral.gap_report(spectral.spectral_profile(A))
+    if "CERTIFIED_GAP" not in report.verdicts:
         raise PreconditionError("no certified modulus gap at any k")
     std = standard_model(m)
-    if _sign_certificates(A, std) is not None:
+    if _sign_certificates(A, std, range(1, m)) is not None:
         return std
     Af = np.array([[float(x) for x in row] for row in A.rows])
     w, W = np.linalg.eig(Af)

@@ -45,18 +45,6 @@ class Polytope:
         if any(len(v) != self.m for v in self.vertices):
             raise ValueError("vertex length does not match ambient dimension")
 
-    def scale(self, r) -> "Polytope":
-        r = Fraction(r)
-        if r < 0:
-            raise ValueError("scaling factor must be non-negative")
-        if r == 0:
-            return Polytope(self.m, (tuple([Fraction(0)] * self.m),), 0)
-        return Polytope(
-            self.m,
-            tuple(sorted(tuple(r * x for x in v) for v in self.vertices)),
-            self.dim,
-        )
-
 
 # ---------------------------------------------------------------------------
 # affine structure
@@ -170,7 +158,7 @@ def _hull_structure(points):
     """Dedupe, find the affine hull, and build facets in hull coordinates.
 
     Returns (pts, dim, coords, facets, interior); facets/interior are None for
-    dim 0, and for dim 1 facets degenerate to the two endpoint ids.
+    dim 0.
     """
     pts = sorted(set(_point(p) for p in points))
     _, pivots = _affine_basis(pts)
@@ -184,15 +172,6 @@ def _hull_structure(points):
         # columns, so projecting onto them is an affine isomorphism
         cols = sorted(pivots)
         coords = [tuple(p[c] for c in cols) for p in pts]
-    if d == 1:
-        order = sorted(range(len(pts)), key=lambda i: coords[i][0])
-        lo, hi = order[0], order[-1]
-        facets = {
-            0: ((lo,), (Fraction(-1),), -coords[lo][0]),
-            1: ((hi,), (Fraction(1),), coords[hi][0]),
-        }
-        mid = ((coords[lo][0] + coords[hi][0]) / 2,)
-        return pts, 1, coords, facets, mid
     facets, interior = _hull_incremental(coords)
     return pts, d, coords, facets, interior
 
@@ -201,8 +180,6 @@ def _minimal_vertices(pts, dim, coords, facets):
     if dim == 0:
         return [pts[0]]
     candidate_ids = sorted({i for ids, _, _ in facets.values() for i in ids})
-    if dim == 1:
-        return [pts[i] for i in candidate_ids]
     verts = []
     for v in candidate_ids:
         planes = set()
@@ -211,7 +188,7 @@ def _minimal_vertices(pts, dim, coords, facets):
                 (n * x for n, x in zip(normal, coords[v])), Fraction(0)
             )
             if val == offset:
-                planes.add(_canonical_plane(normal, offset))
+                planes.add(_primitive_plane(normal, offset))
         if exact.rank_of_rows([pl[0] for pl in planes]) == dim:
             verts.append(pts[v])
     return verts
@@ -225,14 +202,6 @@ def _primitive_plane(normal, offset):
     off = int(offset * scale)
     g = gcd(*(ints + [off])) or 1
     return tuple(x // g for x in ints), off // g
-
-
-def _canonical_plane(normal, offset):
-    """The primitive plane with its first nonzero normal entry positive."""
-    ints, off = _primitive_plane(normal, offset)
-    if next((x for x in ints if x != 0), 1) < 0:
-        return tuple(-x for x in ints), -off
-    return ints, off
 
 
 def convex_hull(points) -> Polytope:
@@ -279,12 +248,6 @@ def _minkowski_points(vertex_sets, scales, m):
             verts = [tuple(r * x for x in v) for v in verts]
         acc = {tuple(a + b for a, b in zip(p, v)) for p in acc for v in verts}
     return acc
-
-
-def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
-    if P.m != Q.m:
-        raise ValueError("ambient dimension mismatch")
-    return convex_hull(_minkowski_points([P.vertices, Q.vertices], (1, 1), P.m))
 
 
 def linear_image(A: exact.Matrix, P: Polytope) -> Polytope:
@@ -409,10 +372,8 @@ def mixed_volume_subdivision(
     m = _check_bodies(bodies, ks)
     s = len(bodies)
     ones = [1] * s
-    all_sum = _minkowski_points([P.vertices for P in bodies], ones, m)
-    if exact.rank_of_rows(
-        [[x - y for x, y in zip(p, next(iter(all_sum)))] for p in all_sum]
-    ) < m:
+    all_sum = list(_minkowski_points([P.vertices for P in bodies], ones, m))
+    if len(_affine_basis(all_sum)[0]) < m:
         raise DegeneratePolytopeError("Minkowski sum of the bodies is not full-dimensional")
 
     for attempt in range(MAX_LIFT_RETRIES):

@@ -2,11 +2,13 @@
 
 Eigenvalues are computed from the exact characteristic polynomial, factored
 into irreducible pieces over Q first; sympy does the factoring and the exact
-(Sturm) real-root counts.  Rational roots and quadratic factors are handled
-exactly; higher-degree factors get numeric roots with a posteriori inclusion
-disks (Smith-style bound: the disk around each approximation z_i of a
-degree-n factor p with radius n|p(z_i)| / prod|z_i-z_j| contains a true root,
-and pairwise disjoint disks isolate the roots).
+(Sturm) real-root counts.  Rational roots are exact; every other factor
+gets numeric roots with a posteriori inclusion disks (Smith-style bound: the
+disk around each approximation z_i of a degree-n factor p with radius
+n|p(z_i)| / prod|z_i-z_j| contains a true root, and pairwise disjoint disks
+isolate the roots).  Quadratic factors take their roots from these disks too,
+but keep an exact squared modulus (c for a conjugate pair, -c for roots
++-sqrt(-c)), so equal moduli within and across them stay exact.
 Floating steps run in mpmath at the working precision with explicit slack for
 rounding, so the stored intervals are honest upper bounds.
 
@@ -141,24 +143,6 @@ def _roots_of_factor(f: Poly, prec: int):
         if deg == 1:
             r = -f[0]
             return [(_mpf_frac(r), mpmath.mpf(0), mpmath.mpf(0), r, True, None)]
-        if deg == 2:
-            b, c = f[1], f[0]
-            disc = b * b - 4 * c
-            half_b = _mpf_frac(-b / 2)
-            slack = mpmath.mpf(2) ** (16 - prec)
-            if disc < 0:
-                s = mpmath.sqrt(_mpf_frac(-disc)) / 2
-                rad = (abs(half_b) + s + 1) * slack
-                return [
-                    (half_b, s, rad, None, False, 1),
-                    (half_b, -s, rad, None, False, 0),
-                ]
-            s = mpmath.sqrt(_mpf_frac(disc)) / 2
-            rad = (abs(half_b) + s + 1) * slack
-            return [
-                (half_b + s, mpmath.mpf(0), rad, None, True, None),
-                (half_b - s, mpmath.mpf(0), rad, None, True, None),
-            ]
         coeffs = [_mpf_frac(c) for c in reversed(f)]
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
@@ -243,14 +227,15 @@ def spectral_profile(A: exact.Matrix, precision: int = DEFAULT_PRECISION) -> Spe
     prec = precision
     while True:
         records = _build_records(factors, prec)
-        if records is not None and _sortable(records):
-            break
+        if records is not None:
+            records.sort(key=lambda r: (-r.mod_mid, -r.re, -r.im))
+            if "UNDECIDED" not in map(_pair_verdict, records, records[1:]):
+                break
         if prec >= MAX_PRECISION:
             raise PrecisionExhausted(
                 f"eigenvalue disks still overlap at {MAX_PRECISION} bits"
             )
         prec = min(2 * prec, MAX_PRECISION)
-    records.sort(key=lambda r: (-r.mod_mid, -r.re, -r.im))
     det_abs = abs(d)
     mods = [r.mod_mid for r in records]
     lambdas = [1.0]
@@ -338,12 +323,13 @@ def _certified_apart(a: EigenValue, b: EigenValue) -> bool:
     return a.mod_lo > b.mod_hi or b.mod_lo > a.mod_hi
 
 
-def _sortable(records) -> bool:
-    recs = sorted(records, key=lambda r: (-r.mod_mid, -r.re, -r.im))
-    for a, b in zip(recs, recs[1:]):
-        if not (_certified_equal(a, b) or _certified_apart(a, b)):
-            return False
-    return True
+def _pair_verdict(a: EigenValue, b: EigenValue) -> str:
+    """Verdict on |a| >= |b| for neighbours in the sorted spectrum."""
+    if _certified_equal(a, b):
+        return "CERTIFIED_EQUAL"
+    if _certified_apart(a, b):
+        return "CERTIFIED_GAP"
+    return "UNDECIDED"
 
 
 def gap_report(profile: SpectralProfile, A: exact.Matrix | None = None) -> GapReport:
@@ -353,21 +339,12 @@ def gap_report(profile: SpectralProfile, A: exact.Matrix | None = None) -> GapRe
     certified intervals (or exact squared moduli).  Anything else is
     UNDECIDED, which is a valid verdict.
     """
-    recs = profile.eigenvalues
-    verdicts = []
-    margins = []
-    for k in range(1, profile.m):
-        a, b = recs[k - 1], recs[k]
-        if _certified_equal(a, b):
-            verdicts.append("CERTIFIED_EQUAL")
-        elif _certified_apart(a, b):
-            verdicts.append("CERTIFIED_GAP")
-        else:
-            verdicts.append("UNDECIDED")
-        margins.append(
-            (float(a.mod_mid - b.mod_mid), a.radius + b.radius)
-        )
-    return GapReport(m=profile.m, verdicts=tuple(verdicts), margins=tuple(margins))
+    pairs = list(zip(profile.eigenvalues, profile.eigenvalues[1:]))
+    return GapReport(
+        m=profile.m,
+        verdicts=tuple(_pair_verdict(a, b) for a, b in pairs),
+        margins=tuple((float(a.mod_mid - b.mod_mid), a.radius + b.radius) for a, b in pairs),
+    )
 
 
 def _quadratic_ratio_power_is_one(b: Fraction, c: Fraction, n: int) -> bool:

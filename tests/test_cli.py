@@ -126,6 +126,27 @@ def test_negative_search_bounds_are_value_errors(tmp_path, capsys, cmd, flags):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("rows, flags, code, kind", [
+    ([[4, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1], [0, 0, 1, -1]],
+     ["--confirm-window", "-1"], 2, "ValueError"),
+    ([[4, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1], [0, 0, 1, -1]],
+     ["--max-l", "0"], 2, "ValueError"),
+    # gap 2 lies inside the conjugate pair 2 +- i: CERTIFIED_EQUAL
+    ([[2, 1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+     ["--ks", "2"], 3, "PreconditionError"),
+])
+def test_power_search_checked_before_orthant_search(tmp_path, capsys, monkeypatch,
+                                                    rows, flags, code, kind):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the orthant search ran before the input check")
+
+    monkeypatch.setattr(cli.dynamics, "_candidate_models", no_search)
+    mf = matrix_file(tmp_path, rows)
+    got, out = run_cli(capsys, ["stabilize", "--matrix", mf, "--mode", "power"] + flags)
+    assert got == code
+    assert json.loads(out)["error"]["type"] == kind
+
+
 def test_stabilize_power_searched_model(tmp_path, capsys):
     mf = matrix_file(tmp_path, [[-1, 2], [2, 2]])
     code, out = run_cli(

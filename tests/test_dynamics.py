@@ -20,7 +20,7 @@ VAND = M([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
 
 def test_standard_model():
     m = dyn.standard_model(3)
-    assert m.is_standard
+    assert m.u == exact.Matrix.identity(3).rows
     assert m.alpha == (F(1),) * 3
     assert m.v == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -137,7 +137,7 @@ def test_nonnegative_minors_imply_stability_for_all_k():
 
 def test_basis_search_tp_immediate():
     res = dyn.stabilize_basis_search(M([[2, 1], [1, 1]]), seed=1)
-    assert res.model.is_standard and res.mode == "BASIS"
+    assert res.model == dyn.standard_model(2) and res.mode == "BASIS"
 
 
 def test_basis_search_positive_diagonal():
@@ -193,11 +193,12 @@ def test_power_late_positivity():
 
 
 def test_power_alternating_never_uniformizes():
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted) as info:
         dyn.find_power_l0(
             M([[-3, 0], [0, 1]]), dyn.standard_model(2), [1],
             max_l=12, confirm_window=2,
         )
+    assert len(info.value.log) == 12 + 2  # an exhausted search logs every power
 
 
 def test_power_requires_certified_gap():
@@ -218,6 +219,45 @@ def test_search_bounds_must_be_positive():
     assert dyn.check_k_stable(A, model, 1, horizon=1).verdict == "NOT_SIGN_UNIFORM"
 
 
+@pytest.mark.parametrize("A, basis, ks, l0", [
+    # the curated cases of acceptance criterion 6
+    ([[2, 1], [1, 1]], None, [1], 1),
+    ([[-2, -1], [-1, -1]], None, [1], 1),
+    ([[-1, 2], [2, 2]], None, [1], 4),
+    ([[4, -1], [-1, 2]], [[1, 0], [0, -1]], [1], 1),
+    ([[1, 1, 1], [1, 2, 4], [1, 3, 9]], None, [1, 2], 1),
+])
+def test_power_search_stops_at_window(A, basis, ks, l0):
+    A = M(A)
+    model = dyn.standard_model(A.m) if basis is None else dyn.build_skew_model(basis)
+    res = dyn.find_power_l0(A, model, ks)
+    assert res.l0 == l0 and res.window == dyn.DEFAULT_CONFIRM_WINDOW
+    assert len(res.log) == res.l0 + res.window
+
+
+def test_check_power_search_bounds_and_gaps():
+    A = M([[2, 1, 0], [-1, 2, 0], [0, 0, 1]])  # |2 +- i| > 1: only gap 2
+    assert dyn.check_power_search(A, [2, 2], 1, 0) == [2]
+    with pytest.raises(PreconditionError):
+        dyn.check_power_search(A, [1, 2], 1, 0)
+    with pytest.raises(ValueError):
+        dyn.check_power_search(A, [3], 1, 0)
+
+
+def test_rejected_model_runs_no_falsifier(monkeypatch):
+    def falsifier(*args, **kwargs):
+        raise AssertionError("falsifier ran on a rejected model")
+
+    monkeypatch.setattr(dyn, "check_k_stable", falsifier)
+    monkeypatch.setattr(dyn.exact, "mat_pow", falsifier)
+    A = M([[-3, 1], [1, -2]])  # mixed-sign minors on the standard model
+    assert dyn._sign_certificates(A, dyn.standard_model(2), [1]) is None
+    res = dyn.stabilize_basis_search(A, seed=0)
+    assert res.model != dyn.standard_model(2)
+    assert all(c.verdict == "STABLE_BY_SIGN" and c.horizon == dyn.DEFAULT_HORIZON
+               for c in res.certificates)
+
+
 def test_power_search_recertifies():
     res = dyn.find_power_l0(VAND, dyn.standard_model(3), [1, 2])
     assert res.l0 == 1
@@ -227,7 +267,7 @@ def test_power_search_recertifies():
 # --- orthant basis -----------------------------------------------------------------------
 
 def test_orthant_basis_positive_diagonal_standard():
-    assert dyn.orthant_basis(exact.Matrix.diagonal([3, 2, 1])).is_standard
+    assert dyn.orthant_basis(exact.Matrix.diagonal([3, 2, 1])) == dyn.standard_model(3)
 
 
 def test_orthant_basis_checkerboard_pipeline():

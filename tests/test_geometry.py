@@ -17,6 +17,16 @@ def cube(m):
     return geo.convex_hull(list(itertools.product((0, 1), repeat=m)))
 
 
+def minkowski(P, Q):
+    """P + Q as the hull of all vertex sums."""
+    return geo.convex_hull([tuple(a + b for a, b in zip(p, q))
+                            for p in P.vertices for q in Q.vertices])
+
+
+def scaled(P, r):
+    return geo.convex_hull([tuple(r * x for x in v) for v in P.vertices])
+
+
 def mv_polarization(bodies_with_mult):
     """Inclusion-exclusion oracle for mixed volumes (independent of both routes)."""
     K = []
@@ -51,6 +61,26 @@ def test_hull_collinear_points():
     P = geo.convex_hull([(0, 0), (1, 1), (2, 2)])
     assert P.dim == 1
     assert P.vertices == ((F(0), F(0)), (F(2), F(2)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_hull_shuffled_collinear_points(m):
+    # one-dimensional hulls take the general incremental path
+    rng = random.Random(m)
+    for _ in range(5):
+        base = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+        u = [F(rng.randint(-3, 3)) for _ in range(m)]
+        u[rng.randrange(m)] = F(rng.choice((-2, -1, 1, 2)))
+        ts = [F(t, 2) for t in rng.sample(range(-12, 13), 7)]
+        rng.shuffle(ts)
+        pts = [tuple(b + t * x for b, x in zip(base, u)) for t in ts]
+        P = geo.convex_hull(pts)
+        ends = [tuple(b + t * x for b, x in zip(base, u)) for t in (min(ts), max(ts))]
+        assert P.dim == 1 and P.vertices == tuple(sorted(ends))
+        if m == 1:
+            assert geo.volume(P) == abs(u[0]) * (max(ts) - min(ts))
+        else:
+            assert geo.volume(P) == 0
 
 
 def test_hull_drops_interior_point():
@@ -130,17 +160,18 @@ def test_volume_scales_with_det():
 def test_minkowski_translate():
     P = geo.standard_simplex(2)
     Q = geo.convex_hull([(3, 4)])
-    assert geo.minkowski_sum(P, Q) == geo.convex_hull([(3, 4), (4, 4), (3, 5)])
+    assert minkowski(P, Q) == geo.convex_hull([(3, 4), (4, 4), (3, 5)])
 
 
 def test_minkowski_segments_make_square():
-    sq = geo.minkowski_sum(geo.segment((1, 0)), geo.segment((0, 1)))
+    sq = minkowski(geo.segment((1, 0)), geo.segment((0, 1)))
+    assert sq == geo.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert geo.volume(sq) == 1 and len(sq.vertices) == 4
 
 
 def test_minkowski_simplex_doubling():
     D = geo.standard_simplex(2)
-    assert geo.minkowski_sum(D, D) == D.scale(2)
+    assert minkowski(D, D) == geo.convex_hull([(0, 0), (2, 0), (0, 2)])
 
 
 def test_linear_image_identity():
@@ -151,12 +182,12 @@ def test_linear_image_identity():
 def test_linear_image_scaling():
     D = geo.standard_simplex(3)
     img = geo.linear_image(exact.Matrix.identity(3).scale(2), D)
-    assert img == D.scale(2)
+    assert img == geo.convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
     assert geo.volume(img) == 2**3 * geo.volume(D)
 
 
 def test_linear_image_shear():
-    sq = geo.minkowski_sum(geo.segment((1, 0)), geo.segment((0, 1)))
+    sq = geo.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     sheared = geo.linear_image(M([[1, 1], [0, 1]]), sq)
     assert geo.volume(sheared) == 1
 
@@ -180,14 +211,14 @@ def test_mixed_volume_segments_det_formula():
 def test_mixed_volume_homogeneity():
     D = geo.standard_simplex(3)
     for k in (1, 2):
-        mv = geo.mixed_volume([(D.scale(2), k), (D, 3 - k)])
+        mv = geo.mixed_volume([(scaled(D, 2), k), (D, 3 - k)])
         assert mv == F(2**k, factorial(3))
 
 
 def test_mixed_volume_homogeneity_rational_scale():
     D = geo.standard_simplex(2)
     r = F(3, 2)
-    assert geo.mixed_volume([(D.scale(r), 1), (D, 1)]) == r * F(1, 2)
+    assert geo.mixed_volume([(scaled(D, r), 1), (D, 1)]) == r * F(1, 2)
 
 
 def test_mixed_volume_symmetry():
@@ -200,7 +231,8 @@ def test_mixed_volume_minkowski_additive_on_segments():
     # Vol((P+P')[1], rest) = Vol(P[1], rest) + Vol(P'[1], rest) on segments
     a, b = geo.segment((1, 0)), geo.segment((1, 2))
     rest = geo.segment((0, 1))
-    lhs = geo.mixed_volume([(geo.minkowski_sum(a, b), 1), (rest, 1)])
+    ab = geo.convex_hull([(0, 0), (1, 0), (1, 2), (2, 2)])  # a + b
+    lhs = geo.mixed_volume([(ab, 1), (rest, 1)])
     rhs = geo.mixed_volume([(a, 1), (rest, 1)]) + geo.mixed_volume([(b, 1), (rest, 1)])
     assert lhs == rhs
 
@@ -271,7 +303,7 @@ def test_subdivision_cells_tile_the_sum():
     P, Q = rand_simplex(rng, 2), rand_simplex(rng, 2)
     res = geo.mixed_volume_subdivision([P, Q], [1, 1], seed=11)
     total = sum(c.cell_volume for c in res.cells)
-    assert total == geo.volume(geo.minkowski_sum(P, Q))
+    assert total == geo.volume(minkowski(P, Q))
 
 
 def rand_segment(rng, m, span=3):

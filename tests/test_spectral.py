@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -236,6 +237,37 @@ def test_roots_of_cube_root_of_two_one_real():
     f = spectral.rational_factors((F(2), F(0), F(0), F(1)))[0][0]
     roots = spectral._roots_of_factor(f, spectral.DEFAULT_PRECISION)
     assert sorted(is_real for *_, is_real, _ in roots) == [False, False, True]
+
+
+@settings(max_examples=80, deadline=None)
+@example([2, 1, -1, 2])  # 2 +- i
+@example([0, 2, 1, 0])  # +-sqrt(2): exact squared modulus, no disk gap
+@given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+def test_quadratic_roots_from_disks_property(entries):
+    """An irreducible quadratic chi gets its roots from the disk path: realness
+    is disc >= 0, complex roots pair up as conjugates, and each certified
+    modulus interval contains the closed-form |root|."""
+    a, b, c, d = entries
+    tr, det = a + d, a * d - b * c
+    disc = tr * tr - 4 * det
+    assume(det != 0 and (disc < 0 or math.isqrt(disc) ** 2 != disc))
+    p = spectral.spectral_profile(M([[a, b], [c, d]]))
+    assert [len(f) - 1 for f, _ in p.factors] == [2]
+    if disc < 0:
+        moduli = [sympy.sqrt(det)] * 2
+    else:
+        moduli = sorted((abs((tr + s * sympy.sqrt(disc)) / 2) for s in (1, -1)), reverse=True)
+    for e, modulus in zip(p.eigenvalues, moduli):
+        assert e.is_real == (disc >= 0)
+        assert sympy.Rational(e.mod_lo) <= modulus <= sympy.Rational(e.mod_hi)
+    first, second = p.eigenvalues
+    if disc < 0:
+        assert (first.conj_root_index, second.conj_root_index) == (
+            second.root_index, first.root_index)
+        assert first.im == pytest.approx(-second.im)
+        assert first.re == pytest.approx(second.re)
+    else:
+        assert first.conj_root_index is None and second.conj_root_index is None
 
 
 def test_rational_factors_multiply_back():
