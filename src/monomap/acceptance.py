@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import factorial
 
 from . import __version__, dynamics, exact, geometry, recurrence, spectral
-from .errors import SearchExhausted
 
 DEFAULT_SEED = 20260808
 
@@ -224,23 +223,24 @@ def _criterion7_matrices():
 
 
 def criterion_basis_search(seed: int) -> dict:
-    """Heuristic stabilizing-basis search: regression guard at >= 8/10 successes."""
+    """The constructed stabilizing basis certifies every k on all 10 matrices.
+
+    The name still says "heuristic" so that the golden report stays
+    byte-identical.
+    """
     wins = 0
     rows = []
     for i, A in enumerate(_criterion7_matrices()):
-        try:
-            res = dynamics.stabilize_basis_search(A, seed=seed + 7)
-            certified = all(
-                c.verdict == "STABLE_BY_SIGN" for c in res.certificates
-            ) and res.certified_k == (1, 2)
-            wins += certified
-            rows.append({"matrix": i, "success": bool(certified)})
-        except SearchExhausted:
-            rows.append({"matrix": i, "success": False})
+        res = dynamics.stabilize_basis_search(A)
+        certified = all(
+            c.verdict == "STABLE_BY_SIGN" for c in res.certificates
+        ) and res.certified_k == (1, 2)
+        wins += certified
+        rows.append({"matrix": i, "success": bool(certified)})
     return {
         "id": 7,
         "name": "stabilizing-basis-heuristic-rate",
-        "passed": wins >= 8,
+        "passed": wins == 10,
         "details": {"successes": wins, "out_of": 10, "cases": rows},
     }
 

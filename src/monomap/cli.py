@@ -3,7 +3,8 @@
 All integers and rationals cross the wire as strings ("123", "-3/7") to dodge
 64-bit overflow and float corruption; floats appear only in clearly labeled
 numeric fields.  Exit codes: 0 success, 1 search-exhausted / not-found,
-2 input error, 3 precondition violated.
+2 input error, 3 precondition violated, 4 internal error (a library error
+without its own code, or a broken invariant).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_SEARCH_EXHAUSTED = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_frac(s, where: str) -> Fraction:
@@ -212,21 +214,12 @@ def cmd_stabilize(args) -> dict:
     A = parse_matrix(load_json(args.matrix))
     config = {
         "mode": args.mode,
-        "attempts": args.attempts,
-        "perturb_scale": args.perturb_scale,
         "denominator_bound": args.denominator_bound,
         "max_l": args.max_l,
         "confirm_window": args.confirm_window,
-        "seed": args.seed,
     }
     if args.mode == "basis":
-        res = dynamics.stabilize_basis_search(
-            A,
-            attempts=args.attempts,
-            perturb_scale=args.perturb_scale,
-            denominator_bound=args.denominator_bound,
-            seed=args.seed,
-        )
+        res = dynamics.stabilize_basis_search(A)
         result = {
             "mode": "BASIS",
             "model": _model_json(res.model),
@@ -239,12 +232,9 @@ def cmd_stabilize(args) -> dict:
         if args.basis:
             model = dynamics.build_skew_model(parse_basis(load_json(args.basis), A.m))
         else:
-            # bounds and gaps first: the orthant search is the costly step
+            # bounds and gaps first, so a bad request costs no frame
             dynamics.check_power_search(A, ks, args.max_l, args.confirm_window)
-            model = dynamics.orthant_basis(
-                A, denominator_bound=args.denominator_bound,
-                attempts=args.attempts, seed=args.seed,
-            )
+            model = dynamics.orthant_basis(A, denominator_bound=args.denominator_bound)
         res = dynamics.find_power_l0(
             A, model, ks, max_l=args.max_l, confirm_window=args.confirm_window
         )
@@ -258,7 +248,7 @@ def cmd_stabilize(args) -> dict:
         }
     provenance = {
         "exact": ["certificates (sign certificates and minors)"],
-        "numeric": ["search heuristics and logged scores"],
+        "numeric": ["power-mode model without --basis (rounded eigenvector frame)"],
     }
     return {
         "result": result,
@@ -447,19 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--horizon", type=int, default=dynamics.DEFAULT_HORIZON)
     st.set_defaults(func=cmd_stability)
 
-    sz = sub.add_parser("stabilize", parents=[common], help="search for a stabilizing basis or power")
+    sz = sub.add_parser("stabilize", parents=[common],
+                        help="construct a stabilizing basis, or find a stabilizing power")
     sz.add_argument("--matrix", required=True)
     sz.add_argument("--mode", choices=("basis", "power"), required=True)
     sz.add_argument("--ks", help="comma-separated k values (power mode)")
-    sz.add_argument("--basis", help="model basis for power mode (default: search)")
-    sz.add_argument("--attempts", type=int, default=dynamics.DEFAULT_ATTEMPTS)
-    sz.add_argument("--perturb-scale", type=float, default=dynamics.DEFAULT_PERTURB)
+    sz.add_argument("--basis", help="model basis for power mode (default: orthant frame)")
     sz.add_argument("--denominator-bound", type=int,
-                    default=dynamics.DEFAULT_DENOMINATOR_BOUND)
+                    default=dynamics.DEFAULT_DENOMINATOR_BOUND,
+                    help="rounding of the orthant frame (power mode)")
     sz.add_argument("--max-l", type=int, default=dynamics.DEFAULT_MAX_L)
     sz.add_argument("--confirm-window", type=int,
                     default=dynamics.DEFAULT_CONFIRM_WINDOW)
-    sz.add_argument("--seed", type=int, default=0)
     sz.set_defaults(func=cmd_stabilize)
 
     dg = sub.add_parser("degrees", parents=[common], help="exact degree sequence deg_{D,k}(f_A^n)")
@@ -507,6 +496,9 @@ def main(argv=None) -> int:
         extra = {"log_entries": len(getattr(e, "log", []) or [])}
         _emit_error(type(e).__name__, str(e), extra)
         return EXIT_SEARCH_EXHAUSTED
+    except (MonomapError, AssertionError) as e:  # any other library error, or a broken invariant
+        _emit_error(type(e).__name__, str(e))
+        return EXIT_INTERNAL
     env = {
         "tool": {"name": "monomap", "version": __version__},
         "command": args.cmd,

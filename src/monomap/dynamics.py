@@ -6,8 +6,9 @@ the variety is a twisted product of projective lines.  On such a model the
 pullback of f_A on codimension-k classes is the matrix of absolute k x k
 minors of A written in the dual-normalized basis u_j, so sign-uniform minors
 certify k-stability exactly.  This module builds the models, checks the sign
-certificates, runs the two heuristic searches (stabilizing basis, stabilizing
-power), and computes degree sequences as exact mixed volumes.
+certificates, constructs a stabilizing basis (Theorem A) and a model for the
+stabilizing-power search (Theorem B), runs that search, and computes degree
+sequences as exact mixed volumes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
+import mpmath
 
 from . import exact, geometry, spectral
 from .errors import (
@@ -29,8 +30,6 @@ from .errors import (
 DEFAULT_HORIZON = 10
 DEFAULT_MAX_L = 64
 DEFAULT_CONFIRM_WINDOW = 8
-DEFAULT_ATTEMPTS = 80
-DEFAULT_PERTURB = 0.05
 DEFAULT_DENOMINATOR_BOUND = 10**4
 
 
@@ -220,123 +219,101 @@ class StabilizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Theorem-A-style search: a basis making the matrix of A totally positive
+# Theorem A: a basis on which the matrix of A is totally nonnegative
 
-def _min_minor_numeric(B: np.ndarray, m: int) -> float:
-    import itertools
-
-    worst = float("inf")
-    for k in range(1, m):
-        for I in itertools.combinations(range(m), k):
-            for J in itertools.combinations(range(m), k):
-                sub = B[np.ix_(I, J)]
-                d = float(np.linalg.det(sub)) if k > 1 else float(sub[0, 0])
-                worst = min(worst, d)
-    return worst
+def _three_term(mul, cur, prev, a, b):
+    """mul(cur) - a cur - b prev, entrywise: one step of a three-term recurrence."""
+    return tuple(y - a * c - b * p for y, c, p in zip(mul(cur), cur, prev))
 
 
-def _cauchy_reference_eigvecs(m: int, rng) -> np.ndarray:
-    """Eigenvector matrix of a strictly totally positive Cauchy matrix."""
-    x = np.arange(1, m + 1) + rng.uniform(0.0, 0.4, m)
-    y = np.arange(1, m + 1) + rng.uniform(0.0, 0.4, m)
-    C = 1.0 / (x[:, None] + y[None, :])
-    w, S = np.linalg.eig(C)
-    order = np.argsort(-w.real)
-    S = S.real[:, order]
-    for j in range(m):
-        pivot = np.argmax(np.abs(S[:, j]))
-        if S[pivot, j] < 0:
-            S[:, j] = -S[:, j]
-    return S
+def _stieltjes(M: exact.Matrix):
+    """Coefficients (a_j, b_j), j < m - 1, of the monic orthogonal polynomials
+    p_{j+1} = (x - a_j) p_j - b_j p_{j-1} for <p, q> = sum_i p(mu_i) q(mu_i)
+    over the eigenvalues mu_i of M (Stieltjes procedure, exact).
+
+    The form is sum_{a,b} p_a q_b s_{a+b} in the power sums s_j = tr(M^j).  It
+    is positive definite on degrees < m when the spectrum is real and
+    distinct, so every b_j with j >= 1 is positive.
+    """
+    m = M.m
+    s, power = [], exact.Matrix.identity(m)
+    for _ in range(2 * m - 1):
+        s.append(power.trace())
+        power = power @ M
+
+    def inner(p, q):
+        return sum((pa * qb * s[a + b] for a, pa in enumerate(p) for b, qb in enumerate(q)),
+                   Fraction(0))
+
+    def shift(p):  # multiplication by x; p has degree < m - 1 here
+        return (Fraction(0),) + p[:-1]
+
+    prev, cur = (Fraction(0),) * m, (Fraction(1),) + (Fraction(0),) * (m - 1)
+    coeffs, prev_norm = [], Fraction(1)
+    for _ in range(m - 1):
+        norm = inner(cur, cur)
+        a, b = inner(shift(cur), cur) / norm, norm / prev_norm
+        coeffs.append((a, b))
+        prev, cur, prev_norm = cur, _three_term(shift, cur, prev, a, b), norm
+    return coeffs
 
 
-def _rationalize_columns(V: np.ndarray, bound: int):
-    cols = []
-    for j in range(V.shape[1]):
-        c = V[:, j]
-        mx = np.max(np.abs(c))
-        if mx == 0:
-            return None
-        c = c / mx
-        cols.append([Fraction(float(t)).limit_denominator(bound) for t in c])
-    return cols
+def _tridiagonal_model(M: exact.Matrix, log) -> SkewModel:
+    """The model of the basis w_j = p_j(M) x, p_j from `_stieltjes`, for
+    x = (1, t, ..., t^(m-1)) with the first t = 0, 1, ... that makes the w_j
+    independent.  Appends one log entry per t tried.
 
-
-def _candidate_models(frame, spectrum, attempts, perturb_scale, denominator_bound,
-                      seed, log):
-    """Models from the rationalized columns of frame @ S^-1, for perturbed
-    reference frames S whose auxiliary map S diag(spectrum) S^-1 has only
-    positive minors numerically.  Each scored attempt is appended to log."""
-    m = len(spectrum)
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, attempts + 1):
-        S = _cauchy_reference_eigvecs(m, rng)
-        if attempt > 1:
-            # grow the perturbation slowly so early attempts stay close to
-            # the reference frame
-            scale = perturb_scale * (1 + attempt / 10.0)
-            S = S + scale * rng.standard_normal((m, m))
+    Each eigencomponent of x is a nonzero polynomial in t of degree < m, so at
+    most m(m-1) values of t fail.
+    """
+    m = M.m
+    coeffs = _stieltjes(M)
+    for t in range(m * (m - 1) + 1):
+        log.append({"attempt": len(log), "t": t, "certified": False})
+        prev, cur = (Fraction(0),) * m, exact.vec(t**i for i in range(m))
+        basis = [cur]
+        for a, b in coeffs:
+            prev, cur = cur, _three_term(M.apply, cur, prev, a, b)
+            basis.append(cur)
         try:
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            continue
-        score = _min_minor_numeric(S @ np.diag(spectrum) @ Sinv, m)
-        log.append({"attempt": attempt, "numeric_min_minor": score, "certified": False})
-        if score <= 0:
-            continue
-        cols = _rationalize_columns(frame @ Sinv, denominator_bound)
-        if cols is None:
-            continue
-        try:
-            yield build_skew_model(cols)
+            return build_skew_model(basis)
         except SingularMatrixError:
             continue
+    raise AssertionError(f"no cyclic vector (1, t, ..., t^{m - 1}) for t <= {m * (m - 1)}")
 
 
-def stabilize_basis_search(
-    A: exact.Matrix,
-    attempts: int = DEFAULT_ATTEMPTS,
-    perturb_scale: float = DEFAULT_PERTURB,
-    denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
-    seed: int = 0,
-) -> StabilizationResult:
-    """Search for a rational basis on which the matrix of A is totally positive.
+def stabilize_basis_search(A: exact.Matrix) -> StabilizationResult:
+    """A rational basis on which the matrix of A is totally nonnegative (Theorem A).
 
-    Precondition (certified exactly via Sturm counts): the spectrum is real,
-    distinct, and entirely positive or entirely negative.  The search is
-    heuristic: numeric eigenbases are steered towards the eigenvector frame of
-    a reference strictly totally positive matrix, perturbed and rationalized
-    with bounded denominators, and every candidate is certified exactly
-    through the sign test for all k.  Exhaustion is reported as such and is
-    never a refutation (a suitable basis always exists under the
-    precondition).
+    Precondition, certified exactly by sympy's real-root counts: the spectrum
+    is real, distinct, and entirely positive or entirely negative.  The
+    standard model is kept when it passes the sign test for every k.
+    Otherwise the basis is built, not searched for: with M = +-A of positive
+    spectrum, M acts on the basis of `_tridiagonal_model` as a tridiagonal
+    matrix with subdiagonal 1 and superdiagonal b_j > 0.  A positive diagonal
+    similarity makes that a positive definite Jacobi matrix, which is totally
+    nonnegative (Gantmacher-Krein), so the k-minors of A have one sign for
+    every k.  The exact sign test confirms this; its failure is a broken
+    invariant (AssertionError).  The log holds the standard model and one
+    entry per cyclic vector tried.
     """
     kind = spectral.real_spectrum_certificate(A)
     if kind is None:
         raise PreconditionError(
             "spectrum is not certified real, distinct, and of uniform sign"
         )
+    ks = range(1, A.m)
     model = standard_model(A.m)
-    certs = _sign_certificates(A, model, range(1, A.m))
+    certs = _sign_certificates(A, model, ks)
     log = [{"attempt": 0, "candidate": "standard-basis", "certified": certs is not None}]
     if certs is None:
-        M = A if kind == "positive" else -A
-        w, W = np.linalg.eig(np.array([[float(x) for x in row] for row in M.rows]))
-        order = np.argsort(-w.real)
-        for model in _candidate_models(W.real[:, order], w.real[order], attempts,
-                                       perturb_scale, denominator_bound, seed, log):
-            certs = _sign_certificates(A, model, range(1, A.m))
-            if certs is not None:
-                log[-1]["certified"] = True  # the attempt that yielded model
-                break
-    if certs is None:
-        raise SearchExhausted(
-            f"no certified basis within {attempts} attempts "
-            "(not a refutation; a stabilizing basis exists under the precondition)",
-            log=log,
-        )
+        model = _tridiagonal_model(A if kind == "positive" else -A, log)
+        certs = _sign_certificates(A, model, ks)
+        if certs is None:
+            raise AssertionError("the sign test rejected the tridiagonal basis")
+        log[-1]["certified"] = True
     return StabilizationResult(
-        mode="BASIS", model=model, certified_k=tuple(range(1, A.m)),
+        mode="BASIS", model=model, certified_k=tuple(ks),
         certificates=certs, log=tuple(log),
     )
 
@@ -409,57 +386,74 @@ def find_power_l0(
 
 
 # ---------------------------------------------------------------------------
-# Theorem-B-style search: a model whose first orthant is eventually invariant
+# Theorem B: a model whose leading wedges are eventually sign-uniform
+
+def _orthant_frame(A: exact.Matrix):
+    """Columns of G = W S^-1 in floating point (see `orthant_basis`)."""
+    m = A.m
+    with mpmath.workprec(128):  # the frame is rounded to a few digits anyway
+        E, ER = mpmath.eig(mpmath.matrix([list(r) for r in A.rows]))
+        order = sorted(range(m), key=lambda i: (-abs(E[i]), -mpmath.re(E[i]),
+                                                -mpmath.im(E[i])))
+        W, used = [], set()
+        for i in order:
+            if i in used:
+                continue
+            # the eigenvalue nearest to conj(mu_i): mu_i itself when it is real
+            j = min((j for j in order if j not in used),
+                    key=lambda j: abs(mpmath.conj(E[i]) - E[j]))
+            used.update((i, j))
+            col = [ER[r, i] for r in range(m)]
+            W.append([mpmath.re(z) for z in col])
+            if j != i:
+                W.append([mpmath.im(z) for z in col])
+        # S^-1 = 2 S / (m + 1); the positive factor drops out in _rationalize_columns
+        S = [[mpmath.sin(i * j * mpmath.pi / (m + 1)) for j in range(1, m + 1)]
+             for i in range(1, m + 1)]
+        return [[mpmath.fsum(W[i][r] * S[i][j] for i in range(m)) for r in range(m)]
+                for j in range(m)]
+
+
+def _rationalize_columns(cols, bound: int):
+    """Each column scaled to max-norm 1 and rounded to rationals with
+    denominators at most bound; a zero column stays zero."""
+    out = []
+    for c in cols:
+        top = max(abs(x) for x in c) or 1
+        out.append([Fraction(float(x / top)).limit_denominator(bound) for x in c])
+    return out
+
 
 def orthant_basis(
-    A: exact.Matrix,
-    denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
-    attempts: int = DEFAULT_ATTEMPTS,
-    seed: int = 0,
+    A: exact.Matrix, denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 ) -> SkewModel:
-    """Search for a model suited to the stabilizing-power iteration.
+    """A model for the stabilizing-power iteration (Theorem B).
 
-    Builds a numeric real-Jordan-like frame of A (complex pairs become
-    rotation blocks), attaches a fake positive distinct spectrum, and searches
-    for a rational basis on which that auxiliary map is totally positive;
-    by construction the leading wedge powers of the frame then sit inside the
-    first orthant of the model.  Validation here is numeric only; exact
-    certificates come from the downstream power search.
+    The standard model is kept when it passes the sign test for every k.
+    Otherwise the basis is the frame G = W S^-1, rationalized column by column
+    with denominators at most denominator_bound.  W is the real Jordan frame
+    of A from mpmath, ordered by decreasing modulus (a complex pair gives its
+    real and imaginary parts), and S_ij = sin(ij pi / (m + 1)) holds the
+    eigenvectors of the oscillatory matrix tridiag(1, 0, 1) in decreasing
+    eigenvalue order.  A acts on G as S J S^-1.  For every k with
+    |mu_k| > |mu_{k+1}|, the k-th compound of its l-th power tends to
+    (mu_1 ... mu_k)^l p q^T, where p and q hold the k-minors of the first k
+    columns of S and of the first k rows of S^-1 = 2 S / (m + 1).  These are
+    positive (Gantmacher-Krein), so the k-minors of A^l become sign-uniform.
+    Nothing is certified here; `find_power_l0` certifies exactly.  No frame
+    (mpmath's eigensolver fails) or a singular rationalized one raises
+    SearchExhausted.
     """
-    m = A.m
-    report = spectral.gap_report(spectral.spectral_profile(A))
-    if "CERTIFIED_GAP" not in report.verdicts:
-        raise PreconditionError("no certified modulus gap at any k")
-    std = standard_model(m)
-    if _sign_certificates(A, std, range(1, m)) is not None:
+    std = standard_model(A.m)
+    if _sign_certificates(A, std, range(1, A.m)) is not None:
         return std
-    Af = np.array([[float(x) for x in row] for row in A.rows])
-    w, W = np.linalg.eig(Af)
-    order = sorted(range(m), key=lambda i: (-abs(w[i]), -w[i].real, -w[i].imag))
-    cols = []
-    used = set()
-    for i in order:
-        if i in used:
-            continue
-        lam = w[i]
-        if abs(lam.imag) < 1e-10:
-            cols.append(W[:, i].real)
-            used.add(i)
-        else:
-            partner = min(
-                (j for j in order if j not in used and j != i),
-                key=lambda j: abs(np.conj(lam) - w[j]),
-            )
-            cols.append(W[:, i].real)
-            cols.append(W[:, i].imag)
-            used.update({i, partner})
-    log = []
-    fake = np.arange(m, 0, -1, dtype=float)
-    model = next(_candidate_models(np.column_stack(cols), fake, attempts,
-                                   DEFAULT_PERTURB, denominator_bound, seed, log), None)
-    if model is None:
-        raise SearchExhausted(f"no orthant basis within {attempts} attempts", log=log)
-    return model
+    try:
+        return build_skew_model(_rationalize_columns(_orthant_frame(A), denominator_bound))
+    except RuntimeError as e:  # mpmath's QR iteration, e.g. at a defective eigenvalue
+        cause = f"no eigenvector frame W: mpmath.eig: {e}"
+    except SingularMatrixError:
+        cause = f"frame W S^-1 is singular once rationalized at denominator bound {denominator_bound}"
+    raise SearchExhausted(cause, log=[{"frame": "W S^-1", "cause": cause}])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from monomap import acceptance, cli
-from monomap.errors import InputError
+from monomap.errors import DegenerateLiftError, InputError, MonomapError
 
 
 def write_json(tmp_path, name, obj):
@@ -137,14 +141,57 @@ def test_negative_search_bounds_are_value_errors(tmp_path, capsys, cmd, flags):
 ])
 def test_power_search_checked_before_orthant_search(tmp_path, capsys, monkeypatch,
                                                     rows, flags, code, kind):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the orthant search ran before the input check")
+    def no_frame(*args, **kwargs):
+        raise AssertionError("the orthant frame was built before the input check")
 
-    monkeypatch.setattr(cli.dynamics, "_candidate_models", no_search)
+    monkeypatch.setattr(cli.dynamics, "_orthant_frame", no_frame)
     mf = matrix_file(tmp_path, rows)
     got, out = run_cli(capsys, ["stabilize", "--matrix", mf, "--mode", "power"] + flags)
     assert got == code
     assert json.loads(out)["error"]["type"] == kind
+
+
+def test_stabilize_power_profiles_the_spectrum_twice(tmp_path, capsys, monkeypatch):
+    # once in cmd_stabilize's early check, once in find_power_l0
+    calls = []
+    profile = cli.dynamics.spectral.spectral_profile
+    monkeypatch.setattr(cli.dynamics.spectral, "spectral_profile",
+                        lambda *a, **kw: calls.append(1) or profile(*a, **kw))
+    mf = matrix_file(tmp_path, [[2, 1, 0], [-1, 2, 0], [0, 0, 1]])
+    code, out = run_cli(capsys, ["stabilize", "--matrix", mf, "--mode", "power", "--ks", "2"])
+    assert code == 0 and len(calls) == 2
+
+
+def test_stabilize_search_flags_are_gone(tmp_path, capsys):
+    mf = matrix_file(tmp_path, [[3, -1], [-1, 2]])
+    for flag in ("--attempts", "--perturb-scale", "--seed"):
+        with pytest.raises(SystemExit):
+            cli.main(["stabilize", "--matrix", mf, "--mode", "basis", flag, "1"])
+    code, out = run_cli(capsys, ["stabilize", "--matrix", mf, "--mode", "basis"])
+    assert set(json.loads(out)["config"]) == {
+        "mode", "denominator_bound", "max_l", "confirm_window"}
+
+
+@pytest.mark.parametrize("error", [
+    DegenerateLiftError("all lifts failed"),
+    MonomapError("degrees on projective space must be integers; this is a bug"),
+    AssertionError("broken invariant"),
+])
+def test_internal_errors_exit_4_with_json(tmp_path, capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_degrees", fail)
+    mf = matrix_file(tmp_path, [[2, 0], [0, 2]])
+    code, out = run_cli(capsys, ["degrees", "--matrix", mf, "--k", "1", "--terms", "2"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert json.loads(out)["error"]["type"] == type(error).__name__
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, monomap.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_stabilize_power_searched_model(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monomap import dynamics as dyn, exact, geometry as geo, recurrence, spectral
 from monomap.errors import (
@@ -136,34 +138,71 @@ def test_nonnegative_minors_imply_stability_for_all_k():
 # --- stabilizing basis search ---------------------------------------------------------
 
 def test_basis_search_tp_immediate():
-    res = dyn.stabilize_basis_search(M([[2, 1], [1, 1]]), seed=1)
+    res = dyn.stabilize_basis_search(M([[2, 1], [1, 1]]))
     assert res.model == dyn.standard_model(2) and res.mode == "BASIS"
 
 
 def test_basis_search_positive_diagonal():
-    res = dyn.stabilize_basis_search(M([[3, 0], [0, 1]]), seed=1)
+    res = dyn.stabilize_basis_search(M([[3, 0], [0, 1]]))
     assert all(c.verdict == "STABLE_BY_SIGN" for c in res.certificates)
 
 
 def test_basis_search_checkerboard():
-    res = dyn.stabilize_basis_search(M([[3, -1], [-1, 2]]), seed=1)
+    res = dyn.stabilize_basis_search(M([[3, -1], [-1, 2]]))
     assert res.certified_k == (1,)
     assert all(c.verdict == "STABLE_BY_SIGN" for c in res.certificates)
 
 
 def test_basis_search_negative_spectrum():
-    # the first is stable on the standard model, the second needs the search
+    # the first is stable on the standard model, the second needs the construction
     for rows in ([[-2, -1], [-1, -1]], [[-3, 1], [1, -2]]):
-        res = dyn.stabilize_basis_search(M(rows), seed=1)
+        res = dyn.stabilize_basis_search(M(rows))
         c = res.certificates[0]
         assert c.verdict == "STABLE_BY_SIGN" and c.sign == "-"
 
 
 def test_basis_search_self_certifies():
-    res = dyn.stabilize_basis_search(M([[3, -1], [-1, 2]]), seed=2)
+    res = dyn.stabilize_basis_search(M([[3, -1], [-1, 2]]))
     for c in res.certificates:
         again = dyn.check_k_stable(M([[3, -1], [-1, 2]]), res.model, c.k)
         assert again.verdict == "STABLE_BY_SIGN"
+
+
+def _conjugate(P, D):
+    P = M(P)
+    return P @ exact.Matrix.diagonal(D) @ exact.inverse(P)
+
+
+@pytest.mark.parametrize("P, D", [
+    ([[1, 2, 0, 1], [0, 1, -1, 2], [1, 0, 1, 0], [2, 1, 0, 1]], [1, 3, 4, 7]),
+    ([[1, 2, 0, 1], [0, 1, -1, 2], [1, 0, 1, 0], [2, 1, 0, 1]], [-2, -3, -5, -9]),
+    ([[2, -1, 0, 1, 0], [1, 1, 2, 0, -1], [0, 1, 1, 1, 2], [1, 0, -1, 2, 1],
+      [0, 2, 1, 0, 1]], [1, 2, 4, 5, 8]),
+    ([[2, -1, 0, 1, 0], [1, 1, 2, 0, -1], [0, 1, 1, 1, 2], [1, 0, -1, 2, 1],
+      [0, 2, 1, 0, 1]], [-1, -3, -4, -6, -11]),
+])
+def test_basis_construction_certifies_every_k_at_m4_and_m5(P, D):
+    A = _conjugate(P, D)
+    res = dyn.stabilize_basis_search(A)
+    assert res.certified_k == tuple(range(1, A.m))
+    assert all(c.verdict == "STABLE_BY_SIGN" for c in res.certificates)
+    assert res.model != dyn.standard_model(A.m)
+    assert res.log[-1]["certified"] and len(res.log) == 2 + res.log[-1]["t"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=m, max_size=m),
+    st.lists(st.integers(1, 12), min_size=m, max_size=m, unique=True),
+    st.booleans(),
+)))
+def test_basis_construction_certifies_every_k_property(data):
+    rows, D, negative = data
+    assume(exact.det(M(rows)) != 0)
+    A = _conjugate(rows, [-d for d in D] if negative else D)
+    res = dyn.stabilize_basis_search(A)
+    assert res.certified_k == tuple(range(1, A.m))
+    assert all(c.verdict == "STABLE_BY_SIGN" for c in res.certificates)
 
 
 def test_basis_search_precondition():
@@ -240,6 +279,8 @@ def test_check_power_search_bounds_and_gaps():
     assert dyn.check_power_search(A, [2, 2], 1, 0) == [2]
     with pytest.raises(PreconditionError):
         dyn.check_power_search(A, [1, 2], 1, 0)
+    with pytest.raises(PreconditionError):
+        dyn.check_power_search(M([[0, 2], [1, 0]]), [1], 1, 0)  # moduli equal at k=1
     with pytest.raises(ValueError):
         dyn.check_power_search(A, [3], 1, 0)
 
@@ -252,7 +293,7 @@ def test_rejected_model_runs_no_falsifier(monkeypatch):
     monkeypatch.setattr(dyn.exact, "mat_pow", falsifier)
     A = M([[-3, 1], [1, -2]])  # mixed-sign minors on the standard model
     assert dyn._sign_certificates(A, dyn.standard_model(2), [1]) is None
-    res = dyn.stabilize_basis_search(A, seed=0)
+    res = dyn.stabilize_basis_search(A)
     assert res.model != dyn.standard_model(2)
     assert all(c.verdict == "STABLE_BY_SIGN" and c.horizon == dyn.DEFAULT_HORIZON
                for c in res.certificates)
@@ -272,21 +313,35 @@ def test_orthant_basis_positive_diagonal_standard():
 
 def test_orthant_basis_checkerboard_pipeline():
     A = M([[4, -1], [-1, 2]])
-    model = dyn.orthant_basis(A, seed=3)
+    model = dyn.orthant_basis(A)
     res = dyn.find_power_l0(A, model, [1])
     assert res.l0 >= 1
 
 
 def test_orthant_basis_complex_pair_k2():
     A = M([[2, 1, 0], [-1, 2, 0], [0, 0, 1]])
-    model = dyn.orthant_basis(A, seed=3)
+    model = dyn.orthant_basis(A)
     res = dyn.find_power_l0(A, model, [2])
     assert res.l0 >= 1
 
 
-def test_orthant_basis_requires_gap():
-    with pytest.raises(PreconditionError):
-        dyn.orthant_basis(M([[0, 2], [1, 0]]))  # moduli equal at k=1
+def test_orthant_basis_stabilizes_a_4x4_power():
+    A = M([[4, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1], [0, 0, 1, -1]])
+    res = dyn.find_power_l0(A, dyn.orthant_basis(A), [1, 2, 3])
+    assert res.certified_k == (1, 2, 3)
+    assert all(c.verdict == "STABLE_BY_SIGN" for c in res.certificates)
+
+
+@pytest.mark.parametrize("rows, bound, cause", [
+    # denominator bound 1 rounds the frame to entries in {-1, 0, 1}
+    ([[0, 1, 3], [3, -3, 2], [0, -1, 2]], 1, "singular"),
+    # chi = (x - 1)^2 (x^2 - 2x + 2): mpmath's QR iteration stalls at 128 bits
+    ([[1, 0, 0, -1], [0, 1, 0, 0], [1, -1, 1, 0], [1, -1, 0, 1]], 10**4, "converge"),
+])
+def test_orthant_basis_failures_are_search_exhausted(rows, bound, cause):
+    with pytest.raises(SearchExhausted) as info:
+        dyn.orthant_basis(M(rows), denominator_bound=bound)
+    assert cause in str(info.value) and cause in info.value.log[0]["cause"]
 
 
 # --- degrees ------------------------------------------------------------------------------
