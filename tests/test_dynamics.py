@@ -279,8 +279,6 @@ def test_check_power_search_bounds_and_gaps():
     assert dyn.check_power_search(A, [2, 2], 1, 0) == [2]
     with pytest.raises(PreconditionError):
         dyn.check_power_search(A, [1, 2], 1, 0)
-    with pytest.raises(PreconditionError):
-        dyn.check_power_search(M([[0, 2], [1, 0]]), [1], 1, 0)  # moduli equal at k=1
     with pytest.raises(ValueError):
         dyn.check_power_search(A, [3], 1, 0)
 
@@ -330,6 +328,14 @@ def test_orthant_basis_stabilizes_a_4x4_power():
     res = dyn.find_power_l0(A, dyn.orthant_basis(A), [1, 2, 3])
     assert res.certified_k == (1, 2, 3)
     assert all(c.verdict == "STABLE_BY_SIGN" for c in res.certificates)
+
+
+def test_orthant_basis_requires_gap():
+    A = M([[0, 2], [1, 0]])  # moduli equal at k=1
+    with pytest.raises(PreconditionError):
+        dyn.check_power_search(A, [1], 1, 0)
+    with pytest.raises(PreconditionError):
+        dyn.find_power_l0(A, dyn.orthant_basis(A), [1])
 
 
 @pytest.mark.parametrize("rows, bound, cause", [
