@@ -125,19 +125,14 @@ def pullback_matrix(A: exact.Matrix, model: SkewModel, k: int) -> PullbackMatrix
     )
 
 
-def _sign_matrix(M: exact.Matrix):
-    return tuple(tuple((x > 0) - (x < 0) for x in row) for row in M.rows)
+def _signs(values) -> tuple[int, ...]:
+    return tuple((x > 0) - (x < 0) for x in values)
 
 
-def _uniform_sign(M: exact.Matrix) -> str | None:
-    """'+' if all entries >= 0, '-' if all <= 0, else None (zeros allowed)."""
-    has_pos = any(x > 0 for row in M.rows for x in row)
-    has_neg = any(x < 0 for row in M.rows for x in row)
-    if not has_neg:
-        return "+"
-    if not has_pos:
-        return "-"
-    return None
+def _minor_signs(B: exact.Matrix, k: int):
+    """Sign rows of the k-minors of B in lex multi-index order, computed lazily."""
+    idx = exact.multi_indices(B.m, k)
+    return (_signs(exact.minor(B, I, J) for J in idx) for I in idx)
 
 
 @dataclass(frozen=True)
@@ -150,6 +145,31 @@ class StabilityCertificate:
     failure_power: int | None = None
 
 
+def _sign_certificate(rows, k: int, horizon: int = DEFAULT_HORIZON):
+    """The STABLE_BY_SIGN certificate of the sign rows of the k-minors, or None
+    at the first row that brings the opposite sign (zeros allowed)."""
+    seen, signs = set(), []
+    for row in rows:
+        seen.update(row)
+        if {1, -1} <= seen:
+            return None
+        signs.append(row)
+    return StabilityCertificate(k=k, verdict="STABLE_BY_SIGN", sign="-" if -1 in seen else "+",
+                                minor_signs=tuple(signs), horizon=horizon)
+
+
+def _first_mixed_power(signs, horizon: int) -> int | None:
+    """The first n in 2..horizon at which length-n paths of both signs join some
+    (I, J) in a matrix of these signs, or None; reach[s][I] holds the J joined to I."""
+    reach = step = {s: [{J for J, x in enumerate(r) if x == s} for r in signs] for s in (1, -1)}
+    for n in range(2, horizon + 1):
+        reach = {s: [set().union(*(step[s * t][L] for t in (1, -1) for L in reach[t][I]))
+                     for I in range(len(signs))] for s in (1, -1)}
+        if any(p & q for p, q in zip(reach[1], reach[-1])):
+            return n
+    return None
+
+
 def check_k_stable(
     A: exact.Matrix, model: SkewModel, k: int, horizon: int = DEFAULT_HORIZON
 ) -> StabilityCertificate:
@@ -157,53 +177,35 @@ def check_k_stable(
 
     Sign-uniform minors are sufficient for k-stability (functoriality of the
     pullback under iteration).  When signs are mixed, a falsifier compares the
-    powered pullback matrix with the pullback of the power up to the horizon:
-    an exact mismatch proves instability; agreement is reported as
-    NOT_SIGN_UNIFORM, which is inconclusive, since the sign condition is
-    sufficient but not necessary.
+    n-th power of the pullback with the pullback of f_A^n for n <= horizon,
+    from signs alone: for B = A in the u basis and S = Lambda^k B, Cauchy-Binet
+    gives Lambda^k(B^n) = S^n, so the two are |S|^n and |S^n|.  By the triangle
+    inequality their (I, J) entries agree exactly when all nonzero length-n
+    path products of S from I to J have one sign.  Paths of both signs prove
+    instability (FUNCTORIALITY_FAILS); otherwise NOT_SIGN_UNIFORM is
+    inconclusive, since the sign condition is sufficient but not necessary.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    pb = pullback_matrix(A, model, k)
-    cert = _sign_certificate(pb.signed, k, horizon)
+    signs = tuple(map(_signs, pullback_matrix(A, model, k).signed.rows))
+    cert = _sign_certificate(signs, k, horizon)
     if cert is not None:
         return cert
-    signs = _sign_matrix(pb.signed)
-    iterated = pb.matrix
-    for n in range(2, horizon + 1):
-        iterated = iterated @ pb.matrix
-        direct = pullback_matrix(exact.mat_pow(A, n), model, k).matrix
-        if iterated != direct:
-            return StabilityCertificate(
-                k=k, verdict="FUNCTORIALITY_FAILS", sign=None,
-                minor_signs=signs, horizon=horizon, failure_power=n,
-            )
-    return StabilityCertificate(
-        k=k, verdict="NOT_SIGN_UNIFORM", sign=None, minor_signs=signs,
-        horizon=horizon,
-    )
-
-
-def _sign_certificate(signed: exact.Matrix, k: int, horizon: int = DEFAULT_HORIZON):
-    """The STABLE_BY_SIGN certificate of the signed k-minors, or None when
-    their signs are mixed."""
-    sign = _uniform_sign(signed)
-    if sign is None:
-        return None
-    return StabilityCertificate(k=k, verdict="STABLE_BY_SIGN", sign=sign,
-                                minor_signs=_sign_matrix(signed), horizon=horizon)
+    n = _first_mixed_power(signs, horizon)
+    verdict = "NOT_SIGN_UNIFORM" if n is None else "FUNCTORIALITY_FAILS"
+    return StabilityCertificate(k=k, verdict=verdict, sign=None, minor_signs=signs,
+                                horizon=horizon, failure_power=n)
 
 
 def _sign_certificates(A: exact.Matrix, model: SkewModel, ks):
     """STABLE_BY_SIGN certificates for every k in ks, or None at the first k
-    without one; a rejected model costs only its minors, never a falsifier."""
+    without one; a rejected model costs its minors up to the first sign conflict."""
     B = exact.change_of_basis(A, model.u)
     certs = []
     for k in ks:
-        cert = _sign_certificate(exact.exterior_power(B, k), k)
-        if cert is None:
+        certs.append(_sign_certificate(_minor_signs(B, k), k))
+        if certs[-1] is None:
             return None
-        certs.append(cert)
     return tuple(certs)
 
 
@@ -363,10 +365,8 @@ def find_power_l0(
     run = 0  # sign-uniform powers in a row, ending at power l
     for l in range(1, max_l + confirm_window + 1):
         power = power @ B
-        row = {}
-        for k in ks:
-            sign = _uniform_sign(exact.exterior_power(power, k))
-            row[k] = sign if sign is not None else "mixed"
+        certs = {k: _sign_certificate(_minor_signs(power, k), k) for k in ks}
+        row = {k: "mixed" if c is None else c.sign for k, c in certs.items()}
         trace.append(row)
         run = run + 1 if "mixed" not in row.values() else 0
         if run > confirm_window:

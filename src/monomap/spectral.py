@@ -116,20 +116,20 @@ def _mpf_frac(q: Fraction):
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
-def _frac_from_mpf_up(x) -> Fraction:
-    """Convert an mpf to a Fraction, never decreasing it.
-
-    float() rounds to nearest, so pad by one part in 2^40 plus an absolute
-    floor to stay a true upper bound.
-    """
-    f = Fraction(float(x))
-    return f + abs(f) / 2**40 + Fraction(1, 2**80)
+def _frac_from_mpf(x) -> Fraction:
+    """The exact value of a finite mpf, mantissa * 2^exp."""
+    man, exp = x.man_exp  # mpmath reports |mantissa|
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
 
 
-def _frac_from_mpf_down(x) -> Fraction:
-    f = Fraction(float(x))
-    f = f - abs(f) / 2**40 - Fraction(1, 2**80)
-    return f if f > 0 else Fraction(0)
+def _modulus_bounds(re, im, rad, prec: int) -> tuple[Fraction, Fraction]:
+    """Rigorous bounds on |mu| for a root mu in the disk of radius rad about
+    re + i im.  hypot is the only rounded step: pad it by a few ulps of the
+    working precision prec + 64, then apply the radius exactly."""
+    with mpmath.workprec(prec + 64):
+        modulus = _frac_from_mpf(mpmath.hypot(re, im))
+    slack = modulus / 2 ** (prec + 60) + _frac_from_mpf(rad)
+    return max(modulus - slack, Fraction(0)), modulus + slack
 
 
 def _roots_of_factor(f: Poly, prec: int):
@@ -270,14 +270,10 @@ def _build_records(factors, prec):
         deg = len(f) - 1
         mod2 = _mod2_exact_for_quadratic(f) if deg == 2 else None
         for ri, (re, im, rad, val_exact, is_real, conj) in enumerate(roots):
-            with mpmath.workprec(prec + 64):
-                modulus = mpmath.hypot(re, im)
-                lo = modulus - rad
-                hi = modulus + rad
-                mod_lo = _frac_from_mpf_down(lo) if lo > 0 else Fraction(0)
-                mod_hi = _frac_from_mpf_up(hi)
             if val_exact is not None:
                 mod_lo = mod_hi = abs(val_exact)
+            else:
+                mod_lo, mod_hi = _modulus_bounds(re, im, rad, prec)
             m2 = val_exact * val_exact if val_exact is not None else mod2
             for copy in range(mult):
                 records.append(
@@ -380,6 +376,9 @@ def root_of_unity_test(
     a, b = profile.eigenvalues[k - 1], profile.eigenvalues[k]
     if a.factor_index == b.factor_index and a.root_index == b.root_index:
         return RootOfUnityVerdict(status="EXACT_YES", order=1, witness="ratio is 1")
+    if a.value_exact is not None and b.value_exact is not None:  # rationals r, -r
+        return RootOfUnityVerdict(status="EXACT_YES", order=2,
+                                  witness=f"ratio is {a.value_exact / b.value_exact}")
     f, _ = profile.factors[a.factor_index]
     if a.factor_index == b.factor_index and len(f) - 1 == 2:
         cb, cc = f[1], f[0]

@@ -1,10 +1,10 @@
 """Independent oracles used only by the tests: naive determinants,
-companion matrices and matrix polynomials."""
+companion matrices, matrix polynomials and k-stability by exact powers."""
 
 import itertools
 from fractions import Fraction
 
-from monomap import exact
+from monomap import dynamics, exact
 
 
 def det_leibniz(M: exact.Matrix) -> Fraction:
@@ -55,3 +55,19 @@ def evaluate_char_poly_at_matrix(chi: exact.CharPoly, M: exact.Matrix) -> exact.
         total = total + acc.scale(c)
         acc = acc @ M
     return total
+
+
+def stability_by_powers(A: exact.Matrix, model, k: int, horizon: int):
+    """(verdict, failure_power, minor_signs) of a k-stability check the slow
+    way: for n = 2..horizon, the n-th power of the pullback of A against the
+    pullback of the exact power A^n."""
+    pb = dynamics.pullback_matrix(A, model, k)
+    signs = tuple(tuple((x > 0) - (x < 0) for x in row) for row in pb.signed.rows)
+    if not {1, -1} <= {x for row in signs for x in row}:
+        return "STABLE_BY_SIGN", None, signs
+    iterated = pb.matrix
+    for n in range(2, horizon + 1):
+        iterated = iterated @ pb.matrix
+        if iterated != dynamics.pullback_matrix(exact.mat_pow(A, n), model, k).matrix:
+            return "FUNCTORIALITY_FAILS", n, signs
+    return "NOT_SIGN_UNIFORM", None, signs

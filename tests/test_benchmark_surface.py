@@ -46,3 +46,10 @@ def test_first_job_of_each_class_is_answered_correctly(workload, monkeypatch):
     problems = [f"{label}: {p}" for label, job in firsts.items()
                 for p in check_job(job, run_job(job))]
     assert firsts and not problems
+
+
+def test_tracer_reaches_calls_inside_modules(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # selftest prepends src/
+    for name in ("tracer", "oracle", "workloads"):
+        _load(name, monkeypatch)
+    assert _load("selftest", monkeypatch).check_intra_module() == []

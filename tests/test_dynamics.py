@@ -12,6 +12,7 @@ from monomap.errors import (
     SearchExhausted,
     SingularMatrixError,
 )
+from reference import stability_by_powers
 
 M = exact.Matrix.from_rows
 
@@ -122,9 +123,7 @@ def test_sign_pattern_invariant_under_alpha_scaling():
     for k in (1,):
         Bu = exact.change_of_basis(A, model.u)
         Be = exact.change_of_basis(A, model.epsilon)
-        su = dyn._sign_matrix(exact.exterior_power(Bu, k))
-        se = dyn._sign_matrix(exact.exterior_power(Be, k))
-        assert su == se
+        assert tuple(dyn._minor_signs(Bu, k)) == tuple(dyn._minor_signs(Be, k))
 
 
 def test_nonnegative_minors_imply_stability_for_all_k():
@@ -133,6 +132,66 @@ def test_nonnegative_minors_imply_stability_for_all_k():
         model = dyn.standard_model(A.m)
         for k in range(1, A.m):
             assert dyn.check_k_stable(A, model, k).verdict == "STABLE_BY_SIGN"
+
+
+@pytest.mark.parametrize("rows, horizon, failure_power", [
+    ([[0, 1, 0], [-2, 0, -2], [0, 0, 1]], 10, 3),
+    ([[0, 2, 0], [0, 0, -2], [2, 2, 0]], 10, 5),
+    ([[0, 2, 0], [0, 0, -2], [2, 2, 0]], 4, None),
+])
+def test_falsifier_finds_late_failures(rows, horizon, failure_power):
+    A, model = M(rows), dyn.standard_model(3)
+    c = dyn.check_k_stable(A, model, 1, horizon=horizon)
+    assert c.failure_power == failure_power
+    assert c.verdict == ("NOT_SIGN_UNIFORM" if failure_power is None else "FUNCTORIALITY_FAILS")
+    assert (c.verdict, c.failure_power, c.minor_signs) == stability_by_powers(A, model, 1, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=m, max_size=m),
+    st.lists(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=m, max_size=m),
+             min_size=m, max_size=m),
+    st.integers(1, m - 1),
+    st.integers(1, 6),
+)))
+def test_sign_falsifier_matches_exact_powers(data):
+    rows, basis, k, horizon = data
+    assume(exact.det(M(rows)) != 0 and exact.det(M(basis)) != 0)
+    A, model = M(rows), dyn.build_skew_model(basis)
+    c = dyn.check_k_stable(A, model, k, horizon=horizon)
+    assert (c.verdict, c.failure_power, c.minor_signs) == \
+        stability_by_powers(A, model, k, horizon)
+
+
+def test_falsifier_needs_one_pullback_and_no_powers(monkeypatch):
+    calls = []
+    pullback = dyn.pullback_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return pullback(*args)
+
+    def no_powers(*args):
+        raise AssertionError("the falsifier computed a power of A")
+
+    monkeypatch.setattr(dyn, "pullback_matrix", counted)
+    monkeypatch.setattr(dyn.exact, "mat_pow", no_powers)
+    c = dyn.check_k_stable(M([[1, -1], [1, 1]]), dyn.standard_model(2), 1)
+    assert c.verdict == "FUNCTORIALITY_FAILS" and len(calls) == 1
+
+
+def test_sign_test_stops_at_first_conflict(monkeypatch):
+    model, minors = dyn.standard_model(3), []
+    minor = exact.minor
+
+    def counted(*args):
+        minors.append(args)
+        return minor(*args)
+
+    monkeypatch.setattr(dyn.exact, "minor", counted)
+    assert dyn._sign_certificates(M([[1, -1, 0], [0, 1, 0], [0, 0, 1]]), model, [1]) is None
+    assert len(minors) <= 3  # the first row already holds both signs
 
 
 # --- stabilizing basis search ---------------------------------------------------------

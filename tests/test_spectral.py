@@ -98,6 +98,15 @@ def test_gap_report_equal_moduli_across_factors():
     assert r.verdicts == ("CERTIFIED_EQUAL",) * 3
 
 
+@pytest.mark.parametrize("N, max_precision", [(10**13, 128), (10**30, 256)])
+def test_gap_finer_than_double_precision(N, max_precision):
+    # eigenvalues N +- sqrt(2): the gap is 2.8 / N relative to the moduli
+    p = spectral.spectral_profile(M([[N, 2], [1, N]]))
+    assert p.precision <= max_precision
+    assert spectral.gap_report(p).verdicts == ("CERTIFIED_GAP",)
+    assert p.eigenvalues[1].mod_hi < N < p.eigenvalues[0].mod_lo
+
+
 def test_gap_monotone_under_refinement():
     A = M([[2, 1, 0], [-1, 2, 0], [0, 0, 2]])
     r1 = spectral.gap_report(spectral.spectral_profile(A, precision=128))
@@ -146,6 +155,16 @@ def test_root_of_unity_real_pair():
     # roots +-sqrt(2): ratio -1, order 2
     v = spectral.root_of_unity_test(M([[0, 2], [1, 0]]), 1)
     assert v.status == "EXACT_YES" and v.order == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 4], [1, 0]],
+    [[0, 4, 0], [1, 0, 0], [0, 0, 1]],
+])
+def test_root_of_unity_rational_pair(rows):
+    # chi has the rational roots 2 and -2 in separate factors: ratio -1, order 2
+    v = spectral.root_of_unity_test(M(rows), 1)
+    assert (v.status, v.order, v.witness) == ("EXACT_YES", 2, "ratio is -1")
 
 
 def test_root_of_unity_remark_family():
