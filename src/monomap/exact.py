@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import SingularMatrixError
 
@@ -79,12 +80,6 @@ class Matrix:
     def abs_entries(self) -> "Matrix":
         return Matrix(tuple(tuple(abs(x) for x in r) for r in self.rows))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-        return Matrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
-
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
@@ -120,9 +115,9 @@ def det(M: Matrix) -> Fraction:
     scale = 1
     rows = []
     for r in M.rows:
-        d = lcm(*(x.denominator for x in r)) if n else 1
+        d = lcm(*(x.denominator for x in r))
         scale *= d
-        rows.append([int(x * d) for x in r])
+        rows.append([x.numerator * (d // x.denominator) for x in r])
     sign = 1
     prev = 1
     for j in range(n - 1):
@@ -195,15 +190,23 @@ class CharPoly:
 
 
 def char_poly(M: Matrix) -> CharPoly:
-    """Characteristic polynomial det(rI - M) by Faddeev-LeVerrier (exact)."""
+    """Characteristic polynomial det(rI - M) by Faddeev-LeVerrier (exact).
+
+    The recurrence runs on the integer matrix N = L M, L the common
+    denominator: its coefficients are integers, so each division by k is
+    exact, and c_i(M) = c_i(N) / L^(n-i).
+    """
     n = M.m
-    coeffs = [Fraction(0)] * n
-    Mk = M
-    coeffs[n - 1] = -Mk.trace()
-    for k in range(2, n + 1):
-        Mk = M @ (Mk + Matrix.identity(n).scale(coeffs[n - k + 1]))
-        coeffs[n - k] = -Mk.trace() / k
-    return CharPoly(tuple(coeffs))
+    L = lcm(*(x.denominator for r in M.rows for x in r))
+    N = [[x.numerator * (L // x.denominator) for x in r] for r in M.rows]
+    Nk, c = N, -sum(N[i][i] for i in range(n))
+    coeffs = [Fraction(c, L)]
+    for k in range(2, n + 1):  # N_k = N (N_{k-1} + c I) = N N_{k-1} + c N
+        cols = tuple(zip(*Nk))
+        Nk = [[sum(map(mul, row, col)) + c * x for col, x in zip(cols, row)] for row in N]
+        c = -(sum(Nk[i][i] for i in range(n)) // k)
+        coeffs.append(Fraction(c, L**k))
+    return CharPoly(tuple(reversed(coeffs)))
 
 
 def row_reduce(rows):
@@ -265,7 +268,7 @@ def primitive_vector(v) -> tuple[int, ...]:
     if all(x == 0 for x in v):
         raise ValueError("zero vector has no primitive representative")
     denom = lcm(*(x.denominator for x in v))
-    ints = [int(x * denom) for x in v]
+    ints = [x.numerator * (denom // x.denominator) for x in v]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

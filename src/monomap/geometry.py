@@ -5,6 +5,8 @@ orientation predicates, so every facet, volume, and mixed volume below is
 exact.  Facets are kept simplicial; collinear/coplanar input only produces
 coplanar simplicial facets, which still tile the boundary (volumes stay
 correct) and are compensated for when the minimal vertex set is extracted.
+Both are read off the facet planes: a volume sums the facets' offsets from
+an interior point, and a vertex is a point whose facet normals have full rank.
 
 Two independent mixed-volume algorithms are provided: the polarization
 formula, a signed sum of volumes of Minkowski sums (primary), and fine mixed
@@ -17,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 
 from . import exact
 from .errors import DegenerateLiftError, DegeneratePolytopeError
@@ -74,7 +76,11 @@ def _cofactor_normal(rows, n):
 
 
 def _facet_plane(points):
-    """Unoriented hyperplane through d points spanning a (d-1)-flat in R^d."""
+    """Unoriented hyperplane through d points spanning a (d-1)-flat in R^d.
+
+    The normal is the unnormalized cofactor vector of the points, which
+    _volume_of_points relies on: do not rescale it.
+    """
     d = len(points[0])
     base = points[0]
     rows = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
@@ -177,31 +183,21 @@ def _hull_structure(points):
 
 
 def _minimal_vertices(pts, dim, coords, facets):
+    """The points where the normals of the facets through them have full rank;
+    neither scaling nor repeating a normal changes that rank."""
     if dim == 0:
         return [pts[0]]
     candidate_ids = sorted({i for ids, _, _ in facets.values() for i in ids})
     verts = []
     for v in candidate_ids:
-        planes = set()
-        for ids, normal, offset in facets.values():
-            val = sum(
-                (n * x for n, x in zip(normal, coords[v])), Fraction(0)
-            )
-            if val == offset:
-                planes.add(_primitive_plane(normal, offset))
-        if exact.rank_of_rows([pl[0] for pl in planes]) == dim:
+        normals = [
+            normal
+            for _, normal, offset in facets.values()
+            if sum((n * x for n, x in zip(normal, coords[v])), Fraction(0)) == offset
+        ]
+        if exact.rank_of_rows(normals) == dim:
             verts.append(pts[v])
     return verts
-
-
-def _primitive_plane(normal, offset):
-    """Scale (normal, offset) by a positive rational to primitive integers."""
-    denoms = [x.denominator for x in normal] + [offset.denominator]
-    scale = lcm(*denoms)
-    ints = [int(x * scale) for x in normal]
-    off = int(offset * scale)
-    g = gcd(*(ints + [off])) or 1
-    return tuple(x // g for x in ints), off // g
 
 
 def convex_hull(points) -> Polytope:
@@ -218,16 +214,22 @@ def convex_hull(points) -> Polytope:
 
 
 def _volume_of_points(points, m) -> Fraction:
-    """Exact volume of conv(points) in R^m; 0 when lower-dimensional."""
-    pts, dim, coords, facets, interior = _hull_structure(points)
+    """Exact volume of conv(points) in R^m; 0 when lower-dimensional.
+
+    The hull is the union of the cones from its interior point c over the
+    facets.  A facet's normal n is the unnormalized cofactor vector of its
+    points p_i (see _facet_plane), so expanding det(p_i - c) along its first
+    row gives |det(p_i - c)| = offset - n . c, and the cone has volume
+    (offset - n . c) / m!.  A rescaled normal would break this.
+    """
+    _, dim, _, facets, interior = _hull_structure(points)
     if dim < m:
         return Fraction(0)
-    total = Fraction(0)
-    for ids, _, _ in facets.values():
-        rows = [
-            tuple(a - b for a, b in zip(coords[i], interior)) for i in ids
-        ]
-        total += abs(exact.det(exact.Matrix.from_rows(rows)))
+    total = sum(
+        (offset - sum((n * x for n, x in zip(normal, interior)), Fraction(0))
+         for _, normal, offset in facets.values()),
+        Fraction(0),
+    )
     return total / factorial(m)
 
 
@@ -393,7 +395,7 @@ def mixed_volume_subdivision(
             seen = {}
             for _, normal, offset in facets.values():
                 if normal[m] < 0:
-                    seen.setdefault(_primitive_plane(normal, offset), normal)
+                    seen.setdefault(exact.primitive_vector(normal + (offset,)), normal)
             normals = [seen[key] for key in sorted(seen)]
         else:
             # lifted sum is flat (dim == m: every lift of a sum of segments is);

@@ -73,7 +73,6 @@ class EigenValue:
     mod_hi: Fraction
     factor_index: int
     root_index: int
-    copy: int  # which multiplicity copy
     mod2_exact: Fraction | None  # exact |mu|^2 when derivable from the factor
     value_exact: Fraction | None  # exact value for rational eigenvalues
     is_real: bool
@@ -132,17 +131,17 @@ def _modulus_bounds(re, im, rad, prec: int) -> tuple[Fraction, Fraction]:
     return max(modulus - slack, Fraction(0)), modulus + slack
 
 
-def _roots_of_factor(f: Poly, prec: int):
-    """Roots of an irreducible monic factor with rigorous disk radii.
-
-    Returns a list of (re, im, radius, value_exact, is_real, conj_index) with
-    mp values; radii are mpf upper bounds.
-    """
+def _roots_of_factor(f: Poly, fi: int, mult: int, prec: int):
+    """EigenValue records for the roots of the irreducible monic factor f,
+    factors[fi] of multiplicity mult, each root repeated mult times; None
+    when the disks at precision prec do not certify the roots."""
     deg = len(f) - 1
     with mpmath.workprec(prec + 64):
         if deg == 1:
             r = -f[0]
-            return [(_mpf_frac(r), mpmath.mpf(0), mpmath.mpf(0), r, True, None)]
+            return [EigenValue(re=float(r), im=0.0, radius=0.0, mod_lo=abs(r), mod_hi=abs(r),
+                               factor_index=fi, root_index=0, mod2_exact=r * r,
+                               value_exact=r, is_real=True, conj_root_index=None)] * mult
         coeffs = [_mpf_frac(c) for c in reversed(f)]
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
@@ -175,7 +174,6 @@ def _roots_of_factor(f: Poly, prec: int):
         for i in real_ids:
             if abs(mpmath.im(out[i][0])) > out[i][1]:
                 return None  # inconsistent; refine
-        result = []
         complex_ids = [i for i in range(deg) if i not in real_ids]
         conj_of = {}
         for i in complex_ids:
@@ -192,14 +190,15 @@ def _roots_of_factor(f: Poly, prec: int):
         for i in complex_ids:
             if conj_of[conj_of[i]] != i:
                 return None
-        for i in range(deg):
-            z, rad = out[i]
-            if i in real_ids:
-                result.append((mpmath.re(z), mpmath.mpf(0), rad, None, True, None))
-            else:
-                result.append(
-                    (mpmath.re(z), mpmath.im(z), rad, None, False, conj_of[i])
-                )
+        mod2 = _mod2_exact_for_quadratic(f) if deg == 2 else None
+        result = []
+        for i, (z, rad) in enumerate(out):
+            re, im = mpmath.re(z), (0 if i in real_ids else mpmath.im(z))
+            mod_lo, mod_hi = _modulus_bounds(re, im, rad, prec)
+            result += [EigenValue(re=float(re), im=float(im), radius=float(rad),
+                                  mod_lo=mod_lo, mod_hi=mod_hi, factor_index=fi, root_index=i,
+                                  mod2_exact=mod2, value_exact=None, is_real=i in real_ids,
+                                  conj_root_index=conj_of.get(i))] * mult
         return result
 
 
@@ -218,11 +217,10 @@ def spectral_profile(A: exact.Matrix, precision: int = DEFAULT_PRECISION) -> Spe
     """All eigenvalues of A with certified disks, sorted moduli, and lambda_k."""
     if not 1 <= precision <= MAX_PRECISION:
         raise ValueError(f"precision must satisfy 1 <= precision <= {MAX_PRECISION} bits")
-    d = exact.det(A)
-    if d == 0:
+    chi = exact.char_poly(A)
+    if chi.coeffs[0] == 0:  # chi(0) = (-1)^m det A
         raise SingularMatrixError("matrix is singular; map is not dominant")
     m = A.m
-    chi = exact.char_poly(A)
     factors = rational_factors(chi.full_coeffs())
     prec = precision
     while True:
@@ -236,7 +234,7 @@ def spectral_profile(A: exact.Matrix, precision: int = DEFAULT_PRECISION) -> Spe
                 f"eigenvalue disks still overlap at {MAX_PRECISION} bits"
             )
         prec = min(2 * prec, MAX_PRECISION)
-    det_abs = abs(d)
+    det_abs = abs(chi.coeffs[0])
     mods = [r.mod_mid for r in records]
     lambdas = [1.0]
     acc = Fraction(1)
@@ -264,34 +262,10 @@ def spectral_profile(A: exact.Matrix, precision: int = DEFAULT_PRECISION) -> Spe
 def _build_records(factors, prec):
     records = []
     for fi, (f, mult) in enumerate(factors):
-        roots = _roots_of_factor(f, prec)
+        roots = _roots_of_factor(f, fi, mult, prec)
         if roots is None:
             return None
-        deg = len(f) - 1
-        mod2 = _mod2_exact_for_quadratic(f) if deg == 2 else None
-        for ri, (re, im, rad, val_exact, is_real, conj) in enumerate(roots):
-            if val_exact is not None:
-                mod_lo = mod_hi = abs(val_exact)
-            else:
-                mod_lo, mod_hi = _modulus_bounds(re, im, rad, prec)
-            m2 = val_exact * val_exact if val_exact is not None else mod2
-            for copy in range(mult):
-                records.append(
-                    EigenValue(
-                        re=float(re),
-                        im=float(im),
-                        radius=float(rad) if val_exact is None else 0.0,
-                        mod_lo=mod_lo,
-                        mod_hi=mod_hi,
-                        factor_index=fi,
-                        root_index=ri,
-                        copy=copy,
-                        mod2_exact=m2,
-                        value_exact=val_exact,
-                        is_real=is_real,
-                        conj_root_index=conj,
-                    )
-                )
+        records += roots
     return records
 
 
@@ -343,26 +317,20 @@ def gap_report(profile: SpectralProfile, A: exact.Matrix | None = None) -> GapRe
     )
 
 
-def _quadratic_ratio_power_is_one(b: Fraction, c: Fraction, n: int) -> bool:
-    """Test (mu/mu')^n == 1 exactly in Q[x]/(x^2+bx+c), mu' the other root."""
-    # ratio = mu^2/c = (-b*mu - c)/c represented as (x0, x1) = x0 + x1*mu
-    x0, x1 = Fraction(-1), -b / c
-    p0, p1 = Fraction(1), Fraction(0)
-    for _ in range(n):
-        p0, p1 = p0 * x0 - c * p1 * x1, p0 * x1 + p1 * x0 - b * p1 * x1
-    return p0 == 1 and p1 == 0
+DENOMINATOR_BOUND = 10**6  # largest angle denominator of the numeric fallback
+_ORDER_BY_TRACE = {2: 1, 1: 6, 0: 4, -1: 3, -2: 2}  # ratio + 1/ratio -> order
 
 
-def root_of_unity_test(
-    A: exact.Matrix, k: int, denominator_bound: int = 10**6
-) -> RootOfUnityVerdict:
+def root_of_unity_test(A: exact.Matrix, k: int) -> RootOfUnityVerdict:
     """Decide whether mu_k / mu_{k+1} is a root of unity.
 
     Exact when the two eigenvalues are the roots of one irreducible quadratic
-    factor of the characteristic polynomial: the ratio then lives in a
-    quadratic field, whose roots of unity have order in {1, 2, 3, 4, 6}.
-    Other certified-equal configurations fall back to a continued-fraction
-    test of the angle, which can only ever say "probably not" or "undecided".
+    factor x^2 + bx + c of the characteristic polynomial: the ratio's trace
+    ratio + 1/ratio is then b^2/c - 2.  By Niven's theorem the ratio is a
+    root of unity exactly when that trace is 2, 1, 0, -1 or -2, of order 1,
+    6, 4, 3 or 2.  Other certified-equal configurations fall back to a
+    continued-fraction test of the angle against denominators up to
+    DENOMINATOR_BOUND, which can only ever say "probably not" or "undecided".
     """
     profile = spectral_profile(A)
     if not 1 <= k <= profile.m - 1:
@@ -383,19 +351,19 @@ def root_of_unity_test(
     if a.factor_index == b.factor_index and len(f) - 1 == 2:
         cb, cc = f[1], f[0]
         field = f"Q[x]/(x^2 + ({cb})x + ({cc}))"
-        for n in (1, 2, 3, 4, 6):
-            if _quadratic_ratio_power_is_one(cb, cc, n):
-                return RootOfUnityVerdict(
-                    status="EXACT_YES",
-                    order=n,
-                    witness=f"ratio^{n} = 1 in {field}",
-                )
-        ratio_re = -1 + cb * cb / (2 * cc)
+        trace = cb * cb / cc - 2
+        if trace in _ORDER_BY_TRACE:
+            n = _ORDER_BY_TRACE[trace]
+            return RootOfUnityVerdict(
+                status="EXACT_YES",
+                order=n,
+                witness=f"ratio^{n} = 1 in {field}",
+            )
         return RootOfUnityVerdict(
             status="EXACT_NO",
             witness=(
                 f"ratio has no order in {{1,2,3,4,6}} in {field}; "
-                f"Re(ratio) = {ratio_re}"
+                f"Re(ratio) = {trace / 2}"
             ),
         )
     # numeric fallback: angle of the ratio against rationals with small denominator
@@ -403,23 +371,19 @@ def root_of_unity_test(
 
     theta = math.atan2(a.im, a.re) - math.atan2(b.im, b.re)
     phi = (theta / (2 * math.pi)) % 1.0
-    p, q = _best_rational(phi, denominator_bound)
-    if abs(phi - p / q) < 1e-12:
+    best = Fraction(phi).limit_denominator(DENOMINATOR_BOUND)
+    if abs(phi - best) < 1e-12:
         return RootOfUnityVerdict(
             status="UNDECIDED",
-            bound=denominator_bound,
-            witness=f"angle/2pi ~ {p}/{q}; exact decision unavailable here",
+            bound=DENOMINATOR_BOUND,
+            witness=(f"angle/2pi ~ {best.numerator}/{best.denominator}; "
+                     "exact decision unavailable here"),
         )
     return RootOfUnityVerdict(
         status="NUMERIC_PROBABLY_NO",
-        bound=denominator_bound,
-        witness=f"no rational with denominator <= {denominator_bound} within 1e-12",
+        bound=DENOMINATOR_BOUND,
+        witness=f"no rational with denominator <= {DENOMINATOR_BOUND} within 1e-12",
     )
-
-
-def _best_rational(x: float, max_den: int) -> tuple[int, int]:
-    best = Fraction(x).limit_denominator(max_den)
-    return best.numerator, best.denominator
 
 
 def real_spectrum_certificate(A: exact.Matrix) -> str | None:

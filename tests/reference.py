@@ -49,12 +49,15 @@ def companion(chi: exact.CharPoly) -> exact.Matrix:
 
 
 def evaluate_char_poly_at_matrix(chi: exact.CharPoly, M: exact.Matrix) -> exact.Matrix:
+    """chi(M) as the sum of c_i M^i, entry by entry."""
     acc = exact.Matrix.identity(M.m)
-    total = acc.scale(0)
+    total = [[Fraction(0)] * M.m for _ in range(M.m)]
     for c in chi.full_coeffs():
-        total = total + acc.scale(c)
+        for row, acc_row in zip(total, acc.rows):
+            for j, x in enumerate(acc_row):
+                row[j] += c * x
         acc = acc @ M
-    return total
+    return exact.Matrix.from_rows(total)
 
 
 def stability_by_powers(A: exact.Matrix, model, k: int, horizon: int):

@@ -207,6 +207,28 @@ def test_cayley_hamilton_matrix_substitution():
         assert all(x == 0 for row in zero.rows for x in row)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                     min_size=m, max_size=m),
+            min_size=m, max_size=m,
+        )
+    )
+)
+def test_char_poly_rational_property(rows):
+    # N = L A is integral; the coefficients of A come back as c_i(N) / L^(n-i)
+    import sympy
+
+    A = M(rows)
+    chi = exact.char_poly(A)
+    want = sympy.Matrix(rows).charpoly().all_coeffs()
+    assert chi.full_coeffs()[::-1] == tuple(F(int(c.p), int(c.q)) for c in want)
+    zero = evaluate_char_poly_at_matrix(chi, A)
+    assert all(x == 0 for row in zero.rows for x in row)
+
+
 def test_char_poly_of_exterior_matrix():
     A = M([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
     chi = exact.char_poly(exact.exterior_power(A, 2))

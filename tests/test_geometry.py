@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from monomap import exact, geometry as geo
 from monomap.errors import DegeneratePolytopeError
+from reference import det_leibniz
 
 M = exact.Matrix.from_rows
 
@@ -153,6 +154,39 @@ def test_volume_scales_with_det():
         P = rand_simplex(rng, m)
         A = M([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
         assert geo.volume(geo.linear_image(A, P)) == abs(exact.det(A)) * geo.volume(P)
+
+
+lattice_rows = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                       min_size=m + 1, max_size=m + 1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_rows)
+def test_volume_simplex_and_parallelepiped_property(rows):
+    # oracles independent of the hull: the Leibniz determinant of the edges
+    p0, *ps = [tuple(map(F, r)) for r in rows]
+    m = len(p0)
+    edges = M([[a - b for a, b in zip(p, p0)] for p in ps])
+    assert geo.volume(geo.convex_hull([p0] + ps)) == abs(det_leibniz(edges)) / factorial(m)
+    u = M(rows[:m])
+    box = [u.transpose().apply(eps) for eps in itertools.product((0, 1), repeat=m)]
+    assert geo.volume(geo.convex_hull(box)) == abs(det_leibniz(u))
+
+
+def test_volume_adds_no_determinant_to_the_hull(monkeypatch):
+    # the facet planes of the hull already hold every cone volume
+    calls = []
+    det = exact.det
+    monkeypatch.setattr(exact, "det", lambda A: calls.append(A) or det(A))
+    P = geo.linear_image(M([[2, 1, 0], [1, 2, 1], [0, 1, 3]]), cube(3))
+    calls.clear()
+    geo.convex_hull(P.vertices)
+    hull_calls = len(calls)
+    calls.clear()
+    assert geo.volume(P) == 7
+    assert hull_calls > 0 and len(calls) == hull_calls
 
 
 # --- Minkowski sums and linear images ------------------------------------------

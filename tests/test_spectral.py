@@ -53,6 +53,16 @@ def test_profile_singular_rejected():
         spectral.spectral_profile(M([[1, 1], [1, 1]]))
 
 
+def test_profile_reads_det_off_char_poly(monkeypatch):
+    calls = []
+    det = exact.det
+    monkeypatch.setattr(exact, "det", lambda A: calls.append(A) or det(A))
+    p = spectral.spectral_profile(M([[2, 1, 0], [-1, 2, 0], [0, 1, 3]]))
+    with pytest.raises(SingularMatrixError, match="map is not dominant"):
+        spectral.spectral_profile(M([[1, 2], [2, 4]]))
+    assert p.det_abs == 15 and calls == []
+
+
 def test_lambda_m_is_det_exact():
     import random
 
@@ -149,6 +159,13 @@ def test_root_of_unity_order_four():
     # rotation-by-(1+i): ratio = i has order 4
     v = spectral.root_of_unity_test(M([[1, -1], [1, 1]]), 1)
     assert v.status == "EXACT_YES" and v.order == 4
+
+
+def test_root_of_unity_order_six():
+    # r^2 - 3r + 3: mu = sqrt(3) e^(i pi/6), ratio e^(i pi/3) has order 6
+    v = spectral.root_of_unity_test(companion2(-3, 3), 1)
+    assert (v.status, v.order, v.witness) == (
+        "EXACT_YES", 6, "ratio^6 = 1 in Q[x]/(x^2 + (-3)x + (3))")
 
 
 def test_root_of_unity_real_pair():
@@ -254,8 +271,8 @@ def test_roots_of_cube_root_of_two_one_real():
     # x^3 + 2 has three roots of one modulus, so spectral_profile cannot sort
     # them; its factor's roots still carry the exact real-root count
     f = spectral.rational_factors((F(2), F(0), F(0), F(1)))[0][0]
-    roots = spectral._roots_of_factor(f, spectral.DEFAULT_PRECISION)
-    assert sorted(is_real for *_, is_real, _ in roots) == [False, False, True]
+    roots = spectral._roots_of_factor(f, 0, 1, spectral.DEFAULT_PRECISION)
+    assert sorted(e.is_real for e in roots) == [False, False, True]
 
 
 @settings(max_examples=80, deadline=None)
