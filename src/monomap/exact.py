@@ -106,36 +106,39 @@ def multi_indices(m: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def det(M: Matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers; intermediate values are then minors of
-    the scaled matrix, which keeps entry growth polynomial.
-    """
-    n = M.m
+    """Determinant: each row is scaled to integers, then `int_det`."""
     scale = 1
     rows = []
     for r in M.rows:
         d = lcm(*(x.denominator for x in r))
         scale *= d
         rows.append([x.numerator * (d // x.denominator) for x in r])
-    sign = 1
-    prev = 1
+    return Fraction(int_det(rows), scale)
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, whose intermediate values are minors of the matrix, so entry
+    growth stays polynomial.  The empty matrix has determinant 1.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    sign, prev = 1, 1
     for j in range(n - 1):
-        piv = next((i for i in range(j, n) if rows[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
+        if rows[j][j] == 0:
+            piv = next((i for i in range(j + 1, n) if rows[i][j] != 0), None)
+            if piv is None:
+                return 0
             rows[j], rows[piv] = rows[piv], rows[j]
             sign = -sign
-        pj = rows[j][j]
-        for i in range(j + 1, n):
-            rij = rows[i][j]
-            ri, rj = rows[i], rows[j]
+        rj = rows[j]
+        pj = rj[j]
+        for ri in rows[j + 1:]:
+            rij = ri[j]
             for c in range(j + 1, n):
                 ri[c] = (ri[c] * pj - rij * rj[c]) // prev
-            ri[j] = 0
         prev = pj
-    return Fraction(sign * rows[n - 1][n - 1], scale)
+    return sign * rows[-1][-1] if n else 1
 
 
 def submatrix(M: Matrix, rows_1based, cols_1based) -> Matrix:

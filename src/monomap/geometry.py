@@ -1,10 +1,11 @@
 """Exact rational convex geometry in ambient dimension up to 8.
 
-Hulls use an incremental beneath-beyond algorithm with exact rational
-orientation predicates, so every facet, volume, and mixed volume below is
-exact.  Facets are kept simplicial; collinear/coplanar input only produces
-coplanar simplicial facets, which still tile the boundary (volumes stay
-correct) and are compensated for when the minimal vertex set is extracted.
+Hulls use an incremental beneath-beyond algorithm with exact integer
+orientation predicates: each point set is projected onto its affine hull and
+its denominators are cleared once, so every facet, volume, and mixed volume
+below is exact.  Facets are kept simplicial; collinear/coplanar input only
+produces coplanar simplicial facets, which still tile the boundary (volumes
+stay correct) and are compensated for when the minimal vertex set is extracted.
 Both are read off the facet planes: a volume sums the facets' offsets from
 an interior point, and a vertex is a point whose facet normals have full rank.
 
@@ -19,7 +20,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul
+from typing import NamedTuple
 
 from . import exact
 from .errors import DegenerateLiftError, DegeneratePolytopeError
@@ -54,74 +57,62 @@ class Polytope:
 def _affine_basis(pts):
     """row_reduce of the differences pts[i] - pts[0]: the ids of a greedy
     affinely independent subset besides pts[0], and the reduced pivot rows."""
-    origin = pts[0]
-    return exact.row_reduce(tuple(a - b for a, b in zip(p, origin)) for p in pts)
+    return exact.row_reduce(tuple(a - b for a, b in zip(p, pts[0])) for p in pts)
 
 
 # ---------------------------------------------------------------------------
-# incremental hull on full-dimensional coordinate points
+# incremental hull on full-dimensional integer points
 
 def _cofactor_normal(rows, n):
-    """Vector orthogonal to n-1 independent rows in R^n (generalized cross product)."""
-    normal = []
-    for j in range(n):
-        sub = (
-            exact.Matrix.from_rows([[r[c] for c in range(n) if c != j] for r in rows])
-            if n > 1
-            else None
-        )
-        dj = exact.det(sub) if sub is not None else Fraction(1)
-        normal.append(dj if j % 2 == 0 else -dj)
-    return tuple(normal)
+    """Integer vector orthogonal to n-1 independent integer rows in R^n
+    (generalized cross product): entry j is (-1)^j times the minor without
+    column j."""
+    return tuple(
+        (-1) ** j * exact.int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)
+    )
 
 
 def _facet_plane(points):
-    """Unoriented hyperplane through d points spanning a (d-1)-flat in R^d.
+    """Unoriented hyperplane through d integer points spanning a (d-1)-flat in R^d.
 
     The normal is the unnormalized cofactor vector of the points, which
     _volume_of_points relies on: do not rescale it.
     """
-    d = len(points[0])
     base = points[0]
     rows = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    normal = _cofactor_normal(rows, d)
-    offset = sum((n * x for n, x in zip(normal, base)), Fraction(0))
-    return normal, offset
+    normal = _cofactor_normal(rows, len(base))
+    return normal, sum(map(mul, normal, base))
 
 
-def _hull_incremental(pts):
-    """Facets of the hull of full-dimensional pts (exact, simplicial).
+def _hull_incremental(pts, simplex):
+    """Facets of the hull of full-dimensional integer pts (exact, simplicial).
 
+    simplex lists d + 1 affinely independent ids; every coordinate must be a
+    multiple of d + 1, so that the simplex's centroid is an integer point.
     Returns (facets, interior) where facets maps fid -> (ids, normal, offset)
-    with normal . x <= offset for hull points, and interior is a point
+    with normal . x <= offset for hull points, and interior is that centroid,
     strictly inside.
     """
     d = len(pts[0])
-    simplex = [0] + _affine_basis(pts)[0]
-    assert len(simplex) == d + 1, "input not full-dimensional"
-    interior = tuple(
-        sum((pts[i][c] for i in simplex), Fraction(0)) / (d + 1) for c in range(d)
-    )
+    interior = tuple(sum(pts[i][c] for i in simplex) // (d + 1) for c in range(d))
 
     facets = {}
     ridge_map = {}
-    next_fid = [0]
+    fids = itertools.count()
 
     def add_facet(ids):
         ids = tuple(sorted(ids))
         normal, offset = _facet_plane([pts[i] for i in ids])
-        val = sum((n * x for n, x in zip(normal, interior)), Fraction(0))
+        val = sum(map(mul, normal, interior))
         if val > offset:
             normal = tuple(-n for n in normal)
             offset = -offset
         elif val == offset:
             raise AssertionError("interior point on facet hyperplane")
-        fid = next_fid[0]
-        next_fid[0] += 1
+        fid = next(fids)
         facets[fid] = (ids, normal, offset)
         for ridge in itertools.combinations(ids, d - 1):
             ridge_map.setdefault(ridge, set()).add(fid)
-        return fid
 
     def drop_facet(fid):
         ids, _, _ = facets.pop(fid)
@@ -141,7 +132,7 @@ def _hull_incremental(pts):
         visible = [
             fid
             for fid, (_, normal, offset) in facets.items()
-            if sum((n * x for n, x in zip(normal, p)), Fraction(0)) > offset
+            if sum(map(mul, normal, p)) > offset
         ]
         if not visible:
             continue
@@ -160,57 +151,65 @@ def _hull_incremental(pts):
     return facets, interior
 
 
-def _hull_structure(points):
-    """Dedupe, find the affine hull, and build facets in hull coordinates.
+class _Hull(NamedTuple):
+    """Deduplicated points, the reduced pivot rows of their affine hull, and
+    the hull on coords[i] = scale * (pts[i] on the pivot columns); coords,
+    facets and interior are None for dim 0."""
 
-    Returns (pts, dim, coords, facets, interior); facets/interior are None for
-    dim 0.
-    """
+    pts: list
+    dim: int
+    pivots: dict
+    scale: int
+    coords: list | None
+    facets: dict | None
+    interior: tuple | None
+
+
+def _hull_structure(points) -> _Hull:
+    """Dedupe, find the affine hull, and build facets in hull coordinates."""
     pts = sorted(set(_point(p) for p in points))
-    _, pivots = _affine_basis(pts)
-    d = len(pivots)
+    ids, pivots = _affine_basis(pts)
+    d = len(ids)
     if d == 0:
-        return pts, 0, None, None, None
-    if d == len(pts[0]):
-        coords = pts  # full-dimensional: keep ambient coordinates (volumes, normals)
-    else:
-        # the reduced basis of the affine hull is the identity on the pivot
-        # columns, so projecting onto them is an affine isomorphism
-        cols = sorted(pivots)
-        coords = [tuple(p[c] for c in cols) for p in pts]
-    facets, interior = _hull_incremental(coords)
-    return pts, d, coords, facets, interior
-
-
-def _minimal_vertices(pts, dim, coords, facets):
-    """The points where the normals of the facets through them have full rank;
-    neither scaling nor repeating a normal changes that rank."""
-    if dim == 0:
-        return [pts[0]]
-    candidate_ids = sorted({i for ids, _, _ in facets.values() for i in ids})
-    verts = []
-    for v in candidate_ids:
-        normals = [
-            normal
-            for _, normal, offset in facets.values()
-            if sum((n * x for n, x in zip(normal, coords[v])), Fraction(0)) == offset
-        ]
-        if exact.rank_of_rows(normals) == dim:
-            verts.append(pts[v])
-    return verts
+        return _Hull(pts, 0, pivots, 1, None, None, None)
+    # the reduced basis of the affine hull is the identity on the pivot
+    # columns, so projecting onto them is an affine isomorphism (the identity
+    # when d = m); so is scaling by L (d + 1), L the common denominator, which
+    # makes the coordinates integers divisible by d + 1
+    cols = sorted(pivots)
+    scale = lcm(*(p[c].denominator for p in pts for c in cols)) * (d + 1)
+    coords = [tuple(p[c].numerator * (scale // p[c].denominator) for c in cols) for p in pts]
+    facets, interior = _hull_incremental(coords, [0] + ids)
+    return _Hull(pts, d, pivots, scale, coords, facets, interior)
 
 
 def convex_hull(points) -> Polytope:
-    """Minimal vertex set of the convex hull of the given rational points."""
+    """Minimal vertex set of the convex hull of the given rational points.
+
+    The vertices are the points where the normals of the facets through them
+    have full rank; neither scaling nor repeating a normal changes that rank.
+    """
     points = list(points)
     if not points:
         raise ValueError("convex hull of an empty point set")
     m = len(points[0])
     if not 1 <= m <= MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension must be in [1, {MAX_AMBIENT_DIM}], got {m}")
-    pts, dim, coords, facets, _ = _hull_structure(points)
-    verts = _minimal_vertices(pts, dim, coords, facets)
-    return Polytope(m, tuple(sorted(verts)), dim)
+    if any(len(p) != m for p in points):
+        raise ValueError(f"every point must have length {m}")
+    h = _hull_structure(points)
+    if h.dim == 0:
+        return Polytope(m, (h.pts[0],), 0)
+    verts = []
+    for v in sorted({i for ids, _, _ in h.facets.values() for i in ids}):
+        normals = [
+            normal
+            for _, normal, offset in h.facets.values()
+            if sum(map(mul, normal, h.coords[v])) == offset
+        ]
+        if exact.rank_of_rows(normals) == h.dim:
+            verts.append(h.pts[v])
+    return Polytope(m, tuple(sorted(verts)), h.dim)
 
 
 def _volume_of_points(points, m) -> Fraction:
@@ -220,17 +219,16 @@ def _volume_of_points(points, m) -> Fraction:
     facets.  A facet's normal n is the unnormalized cofactor vector of its
     points p_i (see _facet_plane), so expanding det(p_i - c) along its first
     row gives |det(p_i - c)| = offset - n . c, and the cone has volume
-    (offset - n . c) / m!.  A rescaled normal would break this.
+    (offset - n . c) / m!.  A rescaled normal would break this.  The hull's
+    coordinates are the points times its scale, so the sum is divided by
+    scale^m as well.
     """
-    _, dim, _, facets, interior = _hull_structure(points)
-    if dim < m:
+    h = _hull_structure(points)
+    if h.dim < m:
         return Fraction(0)
-    total = sum(
-        (offset - sum((n * x for n, x in zip(normal, interior)), Fraction(0))
-         for _, normal, offset in facets.values()),
-        Fraction(0),
-    )
-    return total / factorial(m)
+    total = sum(offset - sum(map(mul, normal, h.interior))
+                for _, normal, offset in h.facets.values())
+    return Fraction(total, h.scale**m * factorial(m))
 
 
 def volume(P: Polytope) -> Fraction:
@@ -387,20 +385,23 @@ def mixed_volume_subdivision(
             )
         lifted_points = [[v + (w,) for v, w in lifted] for lifted in lifted_sets]
         acc = _minkowski_points(lifted_points, ones, m + 1)
-        pts, dim, _, facets, _ = _hull_structure(acc)
-        if dim == m + 1:
-            # hull ran in ambient m+1 coordinates, so normals live in R^{m+1};
-            # one lower FACE may be tiled by several coplanar simplicial
-            # facets, so dedupe by the supporting hyperplane
+        h = _hull_structure(acc)
+        if h.dim == m + 1:
+            # hull ran in scaled ambient m+1 coordinates, so normals live in
+            # R^{m+1}; one lower FACE may be tiled by several coplanar
+            # simplicial facets, so dedupe by the supporting hyperplane, taken
+            # in the points' own coordinates: normal . x = offset / scale
             seen = {}
-            for _, normal, offset in facets.values():
+            for _, normal, offset in h.facets.values():
                 if normal[m] < 0:
-                    seen.setdefault(exact.primitive_vector(normal + (offset,)), normal)
+                    plane = normal + (Fraction(offset, h.scale),)
+                    seen.setdefault(exact.primitive_vector(plane), normal)
             normals = [seen[key] for key in sorted(seen)]
         else:
             # lifted sum is flat (dim == m: every lift of a sum of segments is);
             # the lower hull is the whole polytope and the subdivision is trivial
-            normal = _cofactor_normal(list(_affine_basis(pts)[1].values()), m + 1)
+            rows = [exact.primitive_vector(r) for r in h.pivots.values()]
+            normal = _cofactor_normal(rows, m + 1)
             if normal[m] == 0:
                 raise AssertionError("flat lifted sum cannot be vertical")
             if normal[m] > 0:
@@ -409,14 +410,8 @@ def mixed_volume_subdivision(
         cells = _cells_from_lower_normals(normals, lifted_sets, m, s)
         if cells is None:
             continue
-        k_factor = Fraction(1)
-        for k in ks:
-            k_factor *= factorial(k)
-        total = Fraction(0)
-        for cell in cells:
-            if cell.dims == tuple(ks):
-                total += cell.cell_volume
-        mv = k_factor * total / factorial(m)
+        total = sum(cell.cell_volume for cell in cells if cell.dims == tuple(ks))
+        mv = Fraction(prod(map(factorial, ks)) * total, factorial(m))
         return SubdivisionResult(
             mixed_volume=mv,
             cells=tuple(cells),
@@ -433,10 +428,7 @@ def _cells_from_lower_normals(normals, lifted_sets, m, s):
     for normal in normals:
         parts = []
         for lifted in lifted_sets:
-            vals = [
-                sum((n * x for n, x in zip(normal, v + (w,))), Fraction(0))
-                for (v, w) in lifted
-            ]
+            vals = [sum(map(mul, normal, v + (w,))) for v, w in lifted]
             mx = max(vals)
             support = [lifted[i][0] for i in range(len(lifted)) if vals[i] == mx]
             parts.append(convex_hull(support))

@@ -40,6 +40,16 @@ def test_det_matches_leibniz_oracle():
         assert exact.det(A) == det_leibniz(A)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_int_det_property(rows):
+    # small entries make zero pivots, row swaps and singular matrices common
+    assert exact.int_det(rows) == det_leibniz(M(rows))
+    assert exact.int_det([]) == 1
+
+
 def test_det_rational_entries():
     A = M([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]])
     assert exact.det(A) == F(1, 14) - F(1, 15)

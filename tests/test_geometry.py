@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monomap import exact, geometry as geo
@@ -156,14 +156,20 @@ def test_volume_scales_with_det():
         assert geo.volume(geo.linear_image(A, P)) == abs(exact.det(A)) * geo.volume(P)
 
 
-lattice_rows = st.integers(1, 4).flatmap(
-    lambda m: st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
-                       min_size=m + 1, max_size=m + 1)
-)
+def point_rows(coordinate):
+    return st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(coordinate, min_size=m, max_size=m),
+                           min_size=m + 1, max_size=m + 1)
+    )
+
+
+lattice_rows = point_rows(st.integers(-3, 3))
+# denominators up to 9, so the hull's scale is not 1
+rational_rows = point_rows(st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(lattice_rows)
+@given(st.one_of(lattice_rows, rational_rows))
 def test_volume_simplex_and_parallelepiped_property(rows):
     # oracles independent of the hull: the Leibniz determinant of the edges
     p0, *ps = [tuple(map(F, r)) for r in rows]
@@ -175,11 +181,60 @@ def test_volume_simplex_and_parallelepiped_property(rows):
     assert geo.volume(geo.convex_hull(box)) == abs(det_leibniz(u))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=9),
+    st.integers(3, 4),
+    st.data(),
+)
+def test_hull_of_embedded_polygon_property(plane_pts, n, data):
+    # a rational injective affine map x -> B x + t of a lattice polygon into
+    # R^n: the hull is the image of the polygon's hull, of dimension 2
+    polygon = geo.convex_hull(plane_pts)
+    assume(polygon.dim == 2)
+    rational = st.builds(F, st.integers(-5, 5), st.integers(1, 7))
+    B = data.draw(st.lists(st.tuples(rational, rational), min_size=n, max_size=n))
+    assume(any(a * d != b * c for (a, b), (c, d) in itertools.combinations(B, 2)))
+    t = data.draw(st.tuples(*[rational] * n))
+    image = [tuple(a * x + b * y + c for (a, b), c in zip(B, t)) for x, y in plane_pts]
+    P = geo.convex_hull(image)
+    assert P.dim == 2
+    assert P.vertices == tuple(sorted(
+        tuple(a * x + b * y + c for (a, b), c in zip(B, t)) for x, y in polygon.vertices
+    ))
+
+
+def test_hull_rejects_ragged_points():
+    for pts in ([(0, 0), (1,), (0, 1)], [(0, 0), (1, 0, 0), (0, 1)]):
+        with pytest.raises(ValueError):
+            geo.convex_hull(pts)
+
+
+def test_geometry_builds_no_matrix_and_no_rational_det(monkeypatch):
+    # every hull runs on integer coordinates and exact.int_det
+    D3, D2 = geo.standard_simplex(3), geo.standard_simplex(2)
+    skew = geo.convex_hull([(0, 0, 0), (F(1, 2), 0, 0), (0, F(2, 3), 1), (1, 1, F(1, 5))])
+    flat = geo.convex_hull([(0, 0, 0), (F(1, 3), 1, 0), (1, F(1, 2), 0)])
+    segs = [geo.segment((1, 0)), geo.segment((F(1, 2), 3))]
+    calls = []
+    monkeypatch.setattr(exact, "det", lambda A: calls.append("det"))
+    post_init = exact.Matrix.__post_init__
+    monkeypatch.setattr(exact.Matrix, "__post_init__",
+                        lambda self: calls.append("Matrix") or post_init(self))
+    assert geo.convex_hull(flat.vertices + skew.vertices).dim == 3
+    assert geo.volume(skew) == F(13, 30) / 6  # |det of the edges| / 3!
+    assert geo.mixed_volume([(D3, 2), (skew, 1)]) > 0
+    assert geo.mixed_volume_subdivision([D2, D2], [1, 1], seed=7).mixed_volume == F(1, 2)
+    # a flat lifted sum: every lift of a sum of segments is flat
+    assert geo.mixed_volume_subdivision(segs, [1, 1], seed=7).mixed_volume == F(3, 2)
+    assert calls == []
+
+
 def test_volume_adds_no_determinant_to_the_hull(monkeypatch):
     # the facet planes of the hull already hold every cone volume
     calls = []
-    det = exact.det
-    monkeypatch.setattr(exact, "det", lambda A: calls.append(A) or det(A))
+    det = exact.int_det
+    monkeypatch.setattr(exact, "int_det", lambda A: calls.append(A) or det(A))
     P = geo.linear_image(M([[2, 1, 0], [1, 2, 1], [0, 1, 3]]), cube(3))
     calls.clear()
     geo.convex_hull(P.vertices)
