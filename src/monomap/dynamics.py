@@ -13,6 +13,7 @@ sequences as exact mixed volumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -94,8 +95,10 @@ def _validate_model(model: SkewModel):
             raise AssertionError("epsilon_j != alpha_j u_j")
 
 
+@functools.cache
 def standard_model(m: int) -> SkewModel:
-    """The model of the m-fold product of projective lines."""
+    """The model of the m-fold product of projective lines (one frozen record
+    per m, shared by every caller)."""
     return build_skew_model(exact.Matrix.identity(m).rows)
 
 

@@ -14,15 +14,21 @@ rounding, so the stored intervals are honest upper bounds.
 
 Equalities of moduli are only ever certified through exact data (conjugate
 pairs, shared exact squared modulus, identical roots), never numerically.
+
+`spectral_profile` remembers its last result, so a caller that works on one
+matrix (the gap report, each root-of-unity test, the power search) factors
+its characteristic polynomial once.  The memo keeps one entry only: a hit
+means the same matrix is still being worked on, never that an old input came
+back.  sympy is imported on first use, in `_qq_poly`, not with the module.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import sympy
 
 from . import exact
 from .errors import PrecisionExhausted, PreconditionError, SingularMatrixError
@@ -35,6 +41,8 @@ Poly = tuple[Fraction, ...]  # ascending coefficients, leading included
 
 def _qq_poly(p) -> sympy.Poly:
     """The polynomial with ascending coefficients p, over QQ in sympy."""
+    import sympy
+
     return sympy.Poly(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
         sympy.Symbol("x"),
@@ -214,9 +222,20 @@ def _mod2_exact_for_quadratic(f: Poly):
 
 
 def spectral_profile(A: exact.Matrix, precision: int = DEFAULT_PRECISION) -> SpectralProfile:
-    """All eigenvalues of A with certified disks, sorted moduli, and lambda_k."""
+    """All eigenvalues of A with certified disks, sorted moduli, and lambda_k.
+
+    The last profile is memoized on (A, precision): repeated calls on the same
+    matrix return the same frozen record without factoring again.  One entry
+    is enough for a caller that is still working on A, and a larger memo
+    would only answer inputs seen before.  Errors are raised on every call.
+    """
     if not 1 <= precision <= MAX_PRECISION:
         raise ValueError(f"precision must satisfy 1 <= precision <= {MAX_PRECISION} bits")
+    return _profile(A, precision)
+
+
+@functools.lru_cache(maxsize=1)
+def _profile(A: exact.Matrix, precision: int) -> SpectralProfile:
     chi = exact.char_poly(A)
     if chi.coeffs[0] == 0:  # chi(0) = (-1)^m det A
         raise SingularMatrixError("matrix is singular; map is not dominant")

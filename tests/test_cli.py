@@ -151,15 +151,32 @@ def test_power_search_checked_before_orthant_search(tmp_path, capsys, monkeypatc
     assert json.loads(out)["error"]["type"] == kind
 
 
-def test_stabilize_power_profiles_the_spectrum_twice(tmp_path, capsys, monkeypatch):
-    # once in cmd_stabilize's early check, once in find_power_l0
+def count_factorizations(monkeypatch):
+    """A list that grows by one per characteristic polynomial factored."""
+    spectral = cli.spectral
     calls = []
-    profile = cli.dynamics.spectral.spectral_profile
-    monkeypatch.setattr(cli.dynamics.spectral, "spectral_profile",
-                        lambda *a, **kw: calls.append(1) or profile(*a, **kw))
+    factors = spectral.rational_factors
+    monkeypatch.setattr(spectral, "rational_factors",
+                        lambda p: calls.append(p) or factors(p))
+    spectral._profile.cache_clear()
+    return calls
+
+
+def test_stabilize_power_profiles_the_spectrum_once(tmp_path, capsys, monkeypatch):
+    # cmd_stabilize's early check and find_power_l0 share one profile
+    calls = count_factorizations(monkeypatch)
     mf = matrix_file(tmp_path, [[2, 1, 0], [-1, 2, 0], [0, 0, 1]])
     code, out = run_cli(capsys, ["stabilize", "--matrix", mf, "--mode", "power", "--ks", "2"])
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 1
+
+
+def test_spectrum_factors_once_for_every_root_of_unity_test(tmp_path, capsys, monkeypatch):
+    # |mu_1| = |mu_2| and |mu_3| = |mu_4|: two root-of-unity tests on one profile
+    calls = count_factorizations(monkeypatch)
+    mf = matrix_file(tmp_path, [[2, 1, 0, 0], [-1, 2, 0, 0], [0, 0, 1, 1], [0, 0, -1, 1]])
+    code, out = run_cli(capsys, ["spectrum", "--matrix", mf])
+    assert code == 0 and len(json.loads(out)["result"]["roots_of_unity"]) == 2
+    assert len(calls) == 1
 
 
 def test_stabilize_search_flags_are_gone(tmp_path, capsys):
@@ -188,10 +205,19 @@ def test_internal_errors_exit_4_with_json(tmp_path, capsys, monkeypatch, error):
     assert json.loads(out)["error"]["type"] == type(error).__name__
 
 
-def test_cli_import_leaves_numpy_out():
-    code = "import sys, monomap.cli; sys.exit('numpy' in sys.modules)"
+def cli_import_loads(module):
+    code = f"import sys, monomap.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
+def test_cli_import_leaves_numpy_out():
+    assert not cli_import_loads("numpy")
+
+
+def test_cli_import_leaves_sympy_out():
+    # spectral imports sympy on first use, not at the CLI's startup
+    assert not cli_import_loads("sympy")
 
 
 def test_stabilize_power_searched_model(tmp_path, capsys):

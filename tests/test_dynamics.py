@@ -28,6 +28,11 @@ def test_standard_model():
     assert m.v == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def test_standard_model_is_built_once_per_m():
+    assert dyn.standard_model(3) is dyn.standard_model(3)
+    assert dyn.standard_model(2) is not dyn.standard_model(3)
+
+
 def test_scaled_basis_model():
     m = dyn.build_skew_model([[2, 0], [0, 2]])
     assert m.u == ((F(1), F(0)), (F(0), F(1)))

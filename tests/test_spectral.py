@@ -63,6 +63,24 @@ def test_profile_reads_det_off_char_poly(monkeypatch):
     assert p.det_abs == 15 and calls == []
 
 
+def test_profile_memo_keeps_the_last_matrix_and_precision(monkeypatch):
+    calls = []
+    factors = spectral.rational_factors
+    monkeypatch.setattr(spectral, "rational_factors", lambda p: calls.append(p) or factors(p))
+    spectral._profile.cache_clear()
+    A, B = M([[2, 1], [1, 1]]), M([[3, 1], [1, 1]])
+    p = spectral.spectral_profile(A)
+    assert spectral.spectral_profile(A, precision=spectral.DEFAULT_PRECISION) is p
+    assert spectral.spectral_profile(M([[2, 1], [1, 1]])) is p and len(calls) == 1
+    assert spectral.spectral_profile(B) is not p and len(calls) == 2
+    assert spectral.spectral_profile(A) == p and len(calls) == 3
+    assert spectral.spectral_profile(A, precision=256).precision == 256 and len(calls) == 4
+    singular = M([[1, 2], [2, 4]])
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            spectral.spectral_profile(singular)
+
+
 def test_lambda_m_is_det_exact():
     import random
 
