@@ -112,7 +112,6 @@ def _certificate_json(c: dynamics.StabilityCertificate) -> dict:
         "verdict": c.verdict,
         "sign": c.sign,
         "minor_signs": [list(r) for r in c.minor_signs],
-        "horizon": c.horizon,
         "failure_power": c.failure_power,
     }
 
@@ -190,7 +189,7 @@ def cmd_stability(args) -> dict:
         model = dynamics.standard_model(A.m)
     if not 1 <= args.k <= A.m - 1:
         raise InputError(f"k must satisfy 1 <= k <= m-1 = {A.m - 1}")
-    cert = dynamics.check_k_stable(A, model, args.k, horizon=args.horizon)
+    cert = dynamics.check_k_stable(A, model, args.k)
     pb = dynamics.pullback_matrix(A, model, args.k)
     result = {
         "certificate": _certificate_json(cert),
@@ -206,7 +205,7 @@ def cmd_stability(args) -> dict:
         "provenance": provenance,
         "input": {"matrix": matrix_json(A),
                   "basis": [[str(x) for x in e] for e in model.epsilon]},
-        "config": {"k": args.k, "horizon": args.horizon},
+        "config": {"k": args.k},
     }
 
 
@@ -434,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--matrix", required=True)
     st.add_argument("--basis")
     st.add_argument("--k", type=int, required=True)
-    st.add_argument("--horizon", type=int, default=dynamics.DEFAULT_HORIZON)
     st.set_defaults(func=cmd_stability)
 
     sz = sub.add_parser("stabilize", parents=[common],

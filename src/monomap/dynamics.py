@@ -28,7 +28,6 @@ from .errors import (
     SingularMatrixError,
 )
 
-DEFAULT_HORIZON = 10
 DEFAULT_MAX_L = 64
 DEFAULT_CONFIRM_WINDOW = 8
 DEFAULT_DENOMINATOR_BOUND = 10**4
@@ -141,14 +140,13 @@ def _minor_signs(B: exact.Matrix, k: int):
 @dataclass(frozen=True)
 class StabilityCertificate:
     k: int
-    verdict: str  # STABLE_BY_SIGN | NOT_SIGN_UNIFORM | FUNCTORIALITY_FAILS
+    verdict: str  # STABLE_BY_SIGN | STABLE_ALL_POWERS | FUNCTORIALITY_FAILS
     sign: str | None
     minor_signs: tuple[tuple[int, ...], ...]
-    horizon: int
     failure_power: int | None = None
 
 
-def _sign_certificate(rows, k: int, horizon: int = DEFAULT_HORIZON):
+def _sign_certificate(rows, k: int):
     """The STABLE_BY_SIGN certificate of the sign rows of the k-minors, or None
     at the first row that brings the opposite sign (zeros allowed)."""
     seen, signs = set(), []
@@ -158,46 +156,49 @@ def _sign_certificate(rows, k: int, horizon: int = DEFAULT_HORIZON):
             return None
         signs.append(row)
     return StabilityCertificate(k=k, verdict="STABLE_BY_SIGN", sign="-" if -1 in seen else "+",
-                                minor_signs=tuple(signs), horizon=horizon)
+                                minor_signs=tuple(signs))
 
 
-def _first_mixed_power(signs, horizon: int) -> int | None:
-    """The first n in 2..horizon at which length-n paths of both signs join some
-    (I, J) in a matrix of these signs, or None; reach[s][I] holds the J joined to I."""
-    reach = step = {s: [{J for J, x in enumerate(r) if x == s} for r in signs] for s in (1, -1)}
-    for n in range(2, horizon + 1):
-        reach = {s: [set().union(*(step[s * t][L] for t in (1, -1) for L in reach[t][I]))
-                     for I in range(len(signs))] for s in (1, -1)}
+def _first_mixed_power(signs) -> int | None:
+    """The least n >= 2 at which length-n paths of both signs join some (I, J)
+    in a matrix of these signs, or None when no n does; reach[s][I] holds the J
+    joined to I.  Each reach pair fixes the next, so it stops at a repeat."""
+    reach = step = {s: tuple(frozenset(J for J, x in enumerate(r) if x == s) for r in signs)
+                    for s in (1, -1)}
+    seen, n = set(), 1
+    while (state := (reach[1], reach[-1])) not in seen:
+        seen.add(state)
+        n += 1
+        reach = {s: tuple(frozenset().union(*(step[s * t][L] for t in (1, -1) for L in reach[t][I]))
+                          for I in range(len(signs))) for s in (1, -1)}
         if any(p & q for p, q in zip(reach[1], reach[-1])):
             return n
     return None
 
 
-def check_k_stable(
-    A: exact.Matrix, model: SkewModel, k: int, horizon: int = DEFAULT_HORIZON
-) -> StabilityCertificate:
-    """Certify k-stability by the exact sign-uniformity of minors in the u basis.
+def check_k_stable(A: exact.Matrix, model: SkewModel, k: int) -> StabilityCertificate:
+    """Decide k-stability on the model: is the pullback of f_A^n the n-th power
+    of the pullback of f_A for every n?
 
-    Sign-uniform minors are sufficient for k-stability (functoriality of the
-    pullback under iteration).  When signs are mixed, a falsifier compares the
-    n-th power of the pullback with the pullback of f_A^n for n <= horizon,
-    from signs alone: for B = A in the u basis and S = Lambda^k B, Cauchy-Binet
-    gives Lambda^k(B^n) = S^n, so the two are |S|^n and |S^n|.  By the triangle
-    inequality their (I, J) entries agree exactly when all nonzero length-n
-    path products of S from I to J have one sign.  Paths of both signs prove
-    instability (FUNCTORIALITY_FAILS); otherwise NOT_SIGN_UNIFORM is
-    inconclusive, since the sign condition is sufficient but not necessary.
+    Sign-uniform minors in the u basis are sufficient (STABLE_BY_SIGN).  When
+    signs are mixed, the question is decided from signs alone: for B = A in the
+    u basis and S = Lambda^k B, Cauchy-Binet gives Lambda^k(B^n) = S^n, so the
+    two pullbacks are |S|^n and |S^n|.  By the triangle inequality their (I, J)
+    entries agree exactly when all nonzero length-n path products of S from I
+    to J have one sign.  The sets of J joined to I by paths of each sign at
+    length n + 1 depend only on those at length n, so once a state of these
+    sets repeats, the sequence is periodic and every later state has been
+    checked.  Paths of both signs give the least failing n
+    (FUNCTORIALITY_FAILS); a repeat without them proves STABLE_ALL_POWERS.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     signs = tuple(map(_signs, pullback_matrix(A, model, k).signed.rows))
-    cert = _sign_certificate(signs, k, horizon)
+    cert = _sign_certificate(signs, k)
     if cert is not None:
         return cert
-    n = _first_mixed_power(signs, horizon)
-    verdict = "NOT_SIGN_UNIFORM" if n is None else "FUNCTORIALITY_FAILS"
+    n = _first_mixed_power(signs)
+    verdict = "STABLE_ALL_POWERS" if n is None else "FUNCTORIALITY_FAILS"
     return StabilityCertificate(k=k, verdict=verdict, sign=None, minor_signs=signs,
-                                horizon=horizon, failure_power=n)
+                                failure_power=n)
 
 
 def _sign_certificates(A: exact.Matrix, model: SkewModel, ks):
@@ -290,28 +291,31 @@ def _tridiagonal_model(M: exact.Matrix, log) -> SkewModel:
 def stabilize_basis_search(A: exact.Matrix) -> StabilizationResult:
     """A rational basis on which the matrix of A is totally nonnegative (Theorem A).
 
-    Precondition, certified exactly by sympy's real-root counts: the spectrum
-    is real, distinct, and entirely positive or entirely negative.  The
-    standard model is kept when it passes the sign test for every k.
-    Otherwise the basis is built, not searched for: with M = +-A of positive
-    spectrum, M acts on the basis of `_tridiagonal_model` as a tridiagonal
-    matrix with subdiagonal 1 and superdiagonal b_j > 0.  A positive diagonal
-    similarity makes that a positive definite Jacobi matrix, which is totally
-    nonnegative (Gantmacher-Krein), so the k-minors of A have one sign for
-    every k.  The exact sign test confirms this; its failure is a broken
-    invariant (AssertionError).  The log holds the standard model and one
-    entry per cyclic vector tried.
+    A singular A raises SingularMatrixError.  The standard model is kept when
+    it passes the sign test for every k, whatever the spectrum.  Otherwise the
+    precondition, certified exactly by sympy's real-root counts, is a real,
+    distinct spectrum that is entirely positive or entirely negative
+    (PreconditionError), and the basis is built, not searched for: with
+    M = +-A of positive spectrum, M acts on the basis of `_tridiagonal_model`
+    as a tridiagonal matrix with subdiagonal 1 and superdiagonal b_j > 0.  A
+    positive diagonal similarity makes that a positive definite Jacobi matrix,
+    which is totally nonnegative (Gantmacher-Krein), so the k-minors of A have
+    one sign for every k.  The exact sign test confirms this; its failure is a
+    broken invariant (AssertionError).  The log holds the standard model and
+    one entry per cyclic vector tried.
     """
-    kind = spectral.real_spectrum_certificate(A)
-    if kind is None:
-        raise PreconditionError(
-            "spectrum is not certified real, distinct, and of uniform sign"
-        )
+    if exact.det(A) == 0:
+        raise SingularMatrixError("map is not dominant (det A = 0)")
     ks = range(1, A.m)
     model = standard_model(A.m)
     certs = _sign_certificates(A, model, ks)
     log = [{"attempt": 0, "candidate": "standard-basis", "certified": certs is not None}]
     if certs is None:
+        kind = spectral.real_spectrum_certificate(A)
+        if kind is None:
+            raise PreconditionError(
+                "spectrum is not certified real, distinct, and of uniform sign"
+            )
         model = _tridiagonal_model(A if kind == "positive" else -A, log)
         certs = _sign_certificates(A, model, ks)
         if certs is None:

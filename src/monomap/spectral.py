@@ -10,7 +10,8 @@ isolate the roots).  Quadratic factors take their roots from these disks too,
 but keep an exact squared modulus (c for a conjugate pair, -c for roots
 +-sqrt(-c)), so equal moduli within and across them stay exact.
 Floating steps run in mpmath at the working precision with explicit slack for
-rounding, so the stored intervals are honest upper bounds.
+rounding, so the stored intervals are honest upper bounds; a stored float
+radius also covers the rounding of its centre to a float.
 
 Equalities of moduli are only ever certified through exact data (conjugate
 pairs, shared exact squared modulus, identical roots), never numerically.
@@ -25,6 +26,7 @@ back.  sympy is imported on first use, in `_qq_poly`, not with the module.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,6 +141,15 @@ def _modulus_bounds(re, im, rad, prec: int) -> tuple[Fraction, Fraction]:
     return max(modulus - slack, Fraction(0)), modulus + slack
 
 
+def _float_disk(re: Fraction, im: Fraction, rad: Fraction) -> tuple[float, float, float]:
+    """The disk of radius rad about re + i im as floats: the centre rounded to
+    nearest, and the radius plus that rounding error, rounded up."""
+    x, y = float(re), float(im)
+    r = rad + abs(re - Fraction(x)) + abs(im - Fraction(y))
+    radius = float(r)
+    return x, y, radius if radius >= r else math.nextafter(radius, math.inf)
+
+
 def _roots_of_factor(f: Poly, fi: int, mult: int, prec: int):
     """EigenValue records for the roots of the irreducible monic factor f,
     factors[fi] of multiplicity mult, each root repeated mult times; None
@@ -147,7 +158,8 @@ def _roots_of_factor(f: Poly, fi: int, mult: int, prec: int):
     with mpmath.workprec(prec + 64):
         if deg == 1:
             r = -f[0]
-            return [EigenValue(re=float(r), im=0.0, radius=0.0, mod_lo=abs(r), mod_hi=abs(r),
+            x, y, radius = _float_disk(r, Fraction(0), Fraction(0))
+            return [EigenValue(re=x, im=y, radius=radius, mod_lo=abs(r), mod_hi=abs(r),
                                factor_index=fi, root_index=0, mod2_exact=r * r,
                                value_exact=r, is_real=True, conj_root_index=None)] * mult
         coeffs = [_mpf_frac(c) for c in reversed(f)]
@@ -201,9 +213,10 @@ def _roots_of_factor(f: Poly, fi: int, mult: int, prec: int):
         mod2 = _mod2_exact_for_quadratic(f) if deg == 2 else None
         result = []
         for i, (z, rad) in enumerate(out):
-            re, im = mpmath.re(z), (0 if i in real_ids else mpmath.im(z))
+            re, im = mpmath.re(z), (mpmath.mpf(0) if i in real_ids else mpmath.im(z))
             mod_lo, mod_hi = _modulus_bounds(re, im, rad, prec)
-            result += [EigenValue(re=float(re), im=float(im), radius=float(rad),
+            x, y, radius = _float_disk(*map(_frac_from_mpf, (re, im, rad)))
+            result += [EigenValue(re=x, im=y, radius=radius,
                                   mod_lo=mod_lo, mod_hi=mod_hi, factor_index=fi, root_index=i,
                                   mod2_exact=mod2, value_exact=None, is_real=i in real_ids,
                                   conj_root_index=conj_of.get(i))] * mult

@@ -63,7 +63,8 @@ def evaluate_char_poly_at_matrix(chi: exact.CharPoly, M: exact.Matrix) -> exact.
 def stability_by_powers(A: exact.Matrix, model, k: int, horizon: int):
     """(verdict, failure_power, minor_signs) of a k-stability check the slow
     way: for n = 2..horizon, the n-th power of the pullback of A against the
-    pullback of the exact power A^n."""
+    pullback of the exact power A^n.  Mixed signs without a failure up to the
+    horizon read NO_FAILURE_UP_TO_HORIZON."""
     pb = dynamics.pullback_matrix(A, model, k)
     signs = tuple(tuple((x > 0) - (x < 0) for x in row) for row in pb.signed.rows)
     if not {1, -1} <= {x for row in signs for x in row}:
@@ -73,4 +74,4 @@ def stability_by_powers(A: exact.Matrix, model, k: int, horizon: int):
         iterated = iterated @ pb.matrix
         if iterated != dynamics.pullback_matrix(exact.mat_pow(A, n), model, k).matrix:
             return "FUNCTORIALITY_FAILS", n, signs
-    return "NOT_SIGN_UNIFORM", None, signs
+    return "NO_FAILURE_UP_TO_HORIZON", None, signs

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from monomap import acceptance, cli
@@ -50,6 +51,16 @@ def test_spectrum_conjugate_block(tmp_path, capsys):
     assert rous and rous[0]["status"] == "EXACT_NO"
 
 
+def test_spectrum_disks_hold_their_eigenvalues(tmp_path, capsys):
+    mf = matrix_file(tmp_path, [[2, 1], [1, 1]])
+    code, out = run_cli(capsys, ["spectrum", "--matrix", mf])
+    assert code == 0
+    with mpmath.workprec(300):
+        roots = [(3 + s * mpmath.sqrt(5)) / 2 for s in (1, -1)]  # largest first
+        for e, root in zip(json.loads(out)["result"]["eigenvalues"], roots):
+            assert mpmath.hypot(mpmath.mpf(e["re"]) - root, e["im"]) <= e["radius"]
+
+
 def test_spectrum_singular_exit_code(tmp_path, capsys):
     mf = matrix_file(tmp_path, [[1, 1], [1, 1]])
     code, out = run_cli(capsys, ["spectrum", "--matrix", mf])
@@ -80,6 +91,39 @@ def test_stability_custom_basis(tmp_path, capsys):
     )
     env = json.loads(out)
     assert env["result"]["certificate"]["verdict"] == "STABLE_BY_SIGN"
+
+
+def test_stability_decided_for_every_power(tmp_path, capsys):
+    mf = matrix_file(tmp_path, [[2, 0], [0, -3]])
+    code, out = run_cli(capsys, ["stability", "--matrix", mf, "--k", "1"])
+    assert code == 0
+    env = json.loads(out)
+    assert env["result"]["certificate"]["verdict"] == "STABLE_ALL_POWERS"
+    assert env["result"]["certificate"]["failure_power"] is None
+    assert "horizon" not in out
+    with pytest.raises(SystemExit):
+        cli.main(["stability", "--matrix", mf, "--k", "1", "--horizon", "10"])
+
+
+@pytest.mark.parametrize("rows", [
+    [[3, 0, 0], [0, 3, 0], [0, 0, 3]],
+    [[2, 1, 0], [0, 2, 0], [0, 0, 3]],  # a repeated eigenvalue
+])
+def test_stabilize_basis_keeps_a_certified_standard_model(tmp_path, capsys, rows):
+    mf = matrix_file(tmp_path, rows)
+    code, out = run_cli(capsys, ["stabilize", "--matrix", mf, "--mode", "basis"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["model"]["epsilon"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert result["certified_k"] == [1, 2] and result["attempts_logged"] == 1
+    assert all(c["verdict"] == "STABLE_BY_SIGN" for c in result["certificates"])
+
+
+def test_stabilize_basis_singular_exit_code(tmp_path, capsys):
+    mf = matrix_file(tmp_path, [[1, 1], [1, 1]])  # passes the sign test
+    code, out = run_cli(capsys, ["stabilize", "--matrix", mf, "--mode", "basis"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SingularMatrixError"
 
 
 def test_stabilize_basis(tmp_path, capsys):
@@ -119,8 +163,6 @@ def test_stabilize_power_with_explicit_model(tmp_path, capsys):
     ("stabilize", ["--mode", "power", "--confirm-window", "-1"]),
     ("stabilize", ["--mode", "power", "--confirm-window", "-2", "--max-l", "3"]),
     ("stabilize", ["--mode", "power", "--max-l", "0"]),
-    ("stability", ["--k", "1", "--horizon", "0"]),
-    ("stability", ["--k", "1", "--horizon", "-3"]),
 ])
 def test_negative_search_bounds_are_value_errors(tmp_path, capsys, cmd, flags):
     mf = matrix_file(tmp_path, [[-1, 2], [2, 2]])

@@ -102,8 +102,10 @@ def test_negated_tp_alternating_signs():
 
 
 def test_mixed_signs_inconclusive_for_diagonal():
-    c = dyn.check_k_stable(M([[-3, 0], [0, 1]]), dyn.standard_model(2), 1)
-    assert c.verdict == "NOT_SIGN_UNIFORM"
+    # mixed signs, yet |S|^n = |S^n| for every n: decided, not inconclusive
+    for rows in ([[-3, 0], [0, 1]], [[2, 0], [0, -3]]):
+        c = dyn.check_k_stable(M(rows), dyn.standard_model(2), 1)
+        assert (c.verdict, c.sign, c.failure_power) == ("STABLE_ALL_POWERS", None, None)
 
 
 def test_functoriality_falsifier():
@@ -139,17 +141,21 @@ def test_nonnegative_minors_imply_stability_for_all_k():
             assert dyn.check_k_stable(A, model, k).verdict == "STABLE_BY_SIGN"
 
 
-@pytest.mark.parametrize("rows, horizon, failure_power", [
-    ([[0, 1, 0], [-2, 0, -2], [0, 0, 1]], 10, 3),
-    ([[0, 2, 0], [0, 0, -2], [2, 2, 0]], 10, 5),
-    ([[0, 2, 0], [0, 0, -2], [2, 2, 0]], 4, None),
+@pytest.mark.parametrize("rows, failure_power", [
+    ([[0, 1, 0], [-2, 0, -2], [0, 0, 1]], 3),
+    ([[0, 2, 0], [0, 0, -2], [2, 2, 0]], 5),
+    # the first failures past n = 10: a falsifier with a fixed bound misses them
+    ([[0, 1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 0, 0, 0]], 17),
+    ([[0, 1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 0, 1, 0, 0]], 13),
 ])
-def test_falsifier_finds_late_failures(rows, horizon, failure_power):
-    A, model = M(rows), dyn.standard_model(3)
-    c = dyn.check_k_stable(A, model, 1, horizon=horizon)
-    assert c.failure_power == failure_power
-    assert c.verdict == ("NOT_SIGN_UNIFORM" if failure_power is None else "FUNCTORIALITY_FAILS")
-    assert (c.verdict, c.failure_power, c.minor_signs) == stability_by_powers(A, model, 1, horizon)
+def test_falsifier_finds_late_failures(rows, failure_power):
+    A = M(rows)
+    model = dyn.standard_model(A.m)
+    c = dyn.check_k_stable(A, model, 1)
+    assert (c.verdict, c.failure_power) == ("FUNCTORIALITY_FAILS", failure_power)
+    # the reference confirms that no smaller power fails
+    assert (c.verdict, c.failure_power, c.minor_signs) == \
+        stability_by_powers(A, model, 1, failure_power)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,15 +164,16 @@ def test_falsifier_finds_late_failures(rows, horizon, failure_power):
     st.lists(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=m, max_size=m),
              min_size=m, max_size=m),
     st.integers(1, m - 1),
-    st.integers(1, 6),
 )))
 def test_sign_falsifier_matches_exact_powers(data):
-    rows, basis, k, horizon = data
+    rows, basis, k = data
     assume(exact.det(M(rows)) != 0 and exact.det(M(basis)) != 0)
     A, model = M(rows), dyn.build_skew_model(basis)
-    c = dyn.check_k_stable(A, model, k, horizon=horizon)
-    assert (c.verdict, c.failure_power, c.minor_signs) == \
-        stability_by_powers(A, model, k, horizon)
+    c = dyn.check_k_stable(A, model, k)
+    # exact powers up to the failing one, or up to 12 for a stable verdict
+    expected = "NO_FAILURE_UP_TO_HORIZON" if c.verdict == "STABLE_ALL_POWERS" else c.verdict
+    assert (expected, c.failure_power, c.minor_signs) == \
+        stability_by_powers(A, model, k, c.failure_power or 12)
 
 
 def test_falsifier_needs_one_pullback_and_no_powers(monkeypatch):
@@ -316,10 +323,6 @@ def test_search_bounds_must_be_positive():
             dyn.find_power_l0(A, model, [1], max_l=max_l, confirm_window=window)
     # window 0 accepts the first sign-uniform power on its own
     assert dyn.find_power_l0(A, model, [1], max_l=4, confirm_window=0).l0 == 2
-    for horizon in (0, -3):
-        with pytest.raises(ValueError):
-            dyn.check_k_stable(A, model, 1, horizon=horizon)
-    assert dyn.check_k_stable(A, model, 1, horizon=1).verdict == "NOT_SIGN_UNIFORM"
 
 
 @pytest.mark.parametrize("A, basis, ks, l0", [
@@ -357,8 +360,7 @@ def test_rejected_model_runs_no_falsifier(monkeypatch):
     assert dyn._sign_certificates(A, dyn.standard_model(2), [1]) is None
     res = dyn.stabilize_basis_search(A)
     assert res.model != dyn.standard_model(2)
-    assert all(c.verdict == "STABLE_BY_SIGN" and c.horizon == dyn.DEFAULT_HORIZON
-               for c in res.certificates)
+    assert all(c.verdict == "STABLE_BY_SIGN" for c in res.certificates)
 
 
 def test_power_search_recertifies():

@@ -38,6 +38,12 @@ def test_profile_triangular_matches_diagonal():
     assert all(e.radius == 0.0 for e in p.eigenvalues)
 
 
+def test_float_disk_holds_a_rational_eigenvalue():
+    p = spectral.spectral_profile(M([[F(1, 3), 0], [0, 2]]))
+    third = next(e for e in p.eigenvalues if e.value_exact == F(1, 3))
+    assert 0 < abs(F(third.re) - F(1, 3)) <= F(third.radius) and third.im == 0.0
+
+
 def test_profile_precision_bounds():
     A = M([[0, 0, -2], [1, 0, 0], [0, 1, 0]])  # companion matrix of x^3 + 2
     for bad in (0, -5, spectral.MAX_PRECISION + 1, 2000):
